@@ -11,6 +11,7 @@ from .errors import (
     CapmatchError,
     EmptyPreferenceList,
     InstanceTooLarge,
+    InvariantBroken,
     InvalidMatching,
     InvalidParams,
     NotAnEdge,
@@ -43,6 +44,7 @@ __all__ = [
     "Instance",
     "InstanceMetrics",
     "InstanceTooLarge",
+    "InvariantBroken",
     "InvalidMatching",
     "InvalidParams",
     "Matching",

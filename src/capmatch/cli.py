@@ -6,9 +6,10 @@ instance generator) and ``reduce setcover`` / ``reduce vertexcover``
 (hardness reductions; the reduced instance goes to --out, the budget and
 bookkeeping JSON to stdout).
 
-Exit codes: 0 success, 1 precondition or verification failure, 2 unreadable
-or malformed input, 3 oracle search-space limit exceeded.  Diagnostics and
---trace output go to stderr; results go to stdout or --out.
+Exit codes: 0 success, 1 precondition or verification failure (or a broken
+solver invariant), 2 unreadable or malformed input, 3 oracle search-space
+limit exceeded.  Diagnostics and --trace output go to stderr; results go to
+stdout or --out.
 """
 
 from __future__ import annotations

@@ -37,6 +37,10 @@ class PreconditionViolated(CapmatchError):
     """Solver precondition does not hold for this instance."""
 
 
+class InvariantBroken(CapmatchError):
+    """A solver's internal invariant or step budget failed: a bug, not bad input."""
+
+
 class InstanceTooLarge(CapmatchError):
     """Brute-force search space exceeds the configured limit."""
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import InvariantBroken
 from .model import AugmentedSolution, Instance, require_all_matchable
 from .stability import build_solution, gale_shapley
 
@@ -74,5 +75,5 @@ def solve_minmax(inst: Instance) -> AugmentedSolution:
     best = values[lo]
     matching = gale_shapley(inst, budget_quotas(inst, best))
     if not matching.is_a_perfect(inst):
-        raise RuntimeError("no grid budget is feasible; instance invariant broken")
+        raise InvariantBroken("no grid budget is feasible; instance invariant broken")
     return build_solution(inst, matching, "minmax")

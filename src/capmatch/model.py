@@ -100,9 +100,9 @@ class Instance:
                 if a not in agent_set:
                     raise ValidationError(f"program {p!r} lists unknown agent {a!r}")
         for p in self.programs:
-            if not isinstance(self.quota[p], int) or self.quota[p] < 0:
+            if not _is_count(self.quota[p]):
                 raise ValidationError(f"program {p!r} has negative or non-integer quota")
-            if not isinstance(self.cost[p], int) or self.cost[p] < 0:
+            if not _is_count(self.cost[p]):
                 raise ValidationError(f"program {p!r} has negative or non-integer cost")
         forward = {(a, p) for a, prefs in self.agent_prefs.items() for p in prefs}
         backward = {(a, p) for p, prefs in self.program_prefs.items() for a in prefs}
@@ -125,6 +125,11 @@ class Instance:
 
     def is_edge(self, agent: str, program: str) -> bool:
         return program in self.agent_rank.get(agent, {})
+
+
+def _is_count(value: object) -> bool:
+    """A non-negative int; ``bool`` is excluded although it subclasses int."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 class InstanceMetrics(NamedTuple):

@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import prod
 
-from .errors import InstanceTooLarge
+from .errors import InstanceTooLarge, InvariantBroken
 from .model import NO_RANK, AugmentedSolution, Instance, Matching, require_all_matchable
 from .stability import build_solution
 
@@ -61,7 +61,7 @@ def _solve(inst: Instance, objective: str, limits: OracleLimits, workers: int,
                                [objective] * len(first_choices), first_choices)
             best = min((r for r in results if r is not None), default=None)
     if best is None:
-        raise RuntimeError("no feasible assignment; instance invariant broken")
+        raise InvariantBroken("no feasible assignment; instance invariant broken")
     _, choices = best
     assignment = {a: inst.agent_prefs[a][ix]
                   for a, ix in zip(inst.agents, choices)}

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import NotEnvyFree, ValidationError
+from .errors import InvariantBroken, NotEnvyFree, ValidationError
 from .model import (
     NO_RANK,
     AugmentedSolution,
@@ -240,7 +240,7 @@ def envy_free_to_stable(inst: Instance, quotas: dict[str, int], matching: Matchi
             steps.append((a, cur, p))
         moves += 1
         if moves > edge_budget:
-            raise RuntimeError("promotion loop exceeded the edge budget")
+            raise InvariantBroken("promotion loop exceeded the edge budget")
     return Matching({a: assignment[a] for a in inst.agents if a in assignment})
 
 

@@ -18,16 +18,24 @@ dual objective into a cost certificate: total cost is at most the longest
 agent list times the sum of the ``y`` values, which never exceeds the
 optimum.
 
+Bookkeeping is incremental: a step costs work proportional to what it
+changes.  Edge left-hand sides are cached, thresholds are cursors and free
+promotions come off a heap (``_Promoter``); the terminal check recomputes
+every edge from the dual alone in one pass over ``z``.  ``edge_lhs`` and
+``compute_thresholds`` are the from-scratch oracles that
+``check_invariants=True`` compares the caches with after every step.
+
 With fewer than two distinct costs every A-perfect matching costs the same,
 so the solver just hands each agent its first choice.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from .errors import NotAnEdge, PreconditionViolated
+from .errors import InvariantBroken, NotAnEdge, PreconditionViolated
 from .model import (
     NO_RANK,
     AugmentedSolution,
@@ -59,6 +67,7 @@ class DualCheck(NamedTuple):
     feasible: bool
     objective: int
     violations: tuple[tuple[str, str, int, int], ...]  # (agent, program, lhs, cost)
+    lhs: list[int]  # every edge's left-hand side, in ``_edges`` order
 
 
 def edge_lhs(inst: Instance, dual: DualState, agent: str, program: str) -> int:
@@ -82,23 +91,43 @@ def edge_lhs(inst: Instance, dual: DualState, agent: str, program: str) -> int:
 
 def check_dual_feasible(inst: Instance, dual: DualState) -> DualCheck:
     """Recompute every edge constraint; deterministic violation order."""
-    violations = []
-    for a in inst.agents:
-        for p in inst.agent_prefs[a]:
-            lhs = edge_lhs(inst, dual, a, p)
-            if lhs > inst.cost[p]:
-                violations.append((a, p, lhs, inst.cost[p]))
+    lhs = _lhs_values(inst, dual)
+    cost = inst.cost
+    violations = tuple((a, p, v, cost[p])
+                       for (a, p), v in zip(_edges(inst), lhs) if v > cost[p])
     objective = sum(dual.y[a] for a in inst.agents)
-    return DualCheck(not violations, objective, tuple(violations))
+    return DualCheck(not violations, objective, violations, lhs)
+
+
+def _edges(inst: Instance):
+    """Every edge (agent, program), in agent then preference order."""
+    return ((a, p) for a in inst.agents for p in inst.agent_prefs[a])
+
+
+def _lhs_values(inst: Instance, dual: DualState) -> list[int]:
+    """``edge_lhs`` of every edge in ``_edges`` order, from one agent-indexed
+    pass over ``z``: O(edges + |z| * longest list) instead of O(edges * |z|)."""
+    arank = inst.agent_rank
+    out: list[int] = []
+    first: dict[str, int] = {}  # agent -> index of its top edge in ``out``
+    for a in inst.agents:
+        first[a] = len(out)
+        out.extend([dual.y[a]] * len(inst.agent_prefs[a]))
+    for (high, prog, low), val in dual.z.items():
+        r = arank.get(high, {}).get(prog)
+        if r is not None:  # high's edges at prog and every program it prefers
+            for k in range(first[high], first[high] + r + 1):
+                out[k] += val
+        r = arank.get(low, {}).get(prog)
+        if r is not None and low != high:
+            out[first[low] + r] -= val
+    return out
 
 
 def compute_thresholds(inst: Instance, matching: Matching) -> dict[str, str | None]:
     """Per program: the most preferred agent that would rather be there."""
-    return _thresholds(inst, matching.assignment)
-
-
-def _thresholds(inst: Instance, assignment: dict[str, str]) -> dict[str, str | None]:
     arank = inst.agent_rank
+    assignment = matching.assignment
     out: dict[str, str | None] = {}
     for p in inst.programs:
         pick = None
@@ -115,46 +144,98 @@ def free_promotions(inst: Instance, dual: DualState, matching: Matching) -> Matc
     """Exhaust matchable edges (tight + threshold agrees), deterministically.
 
     The input must be envy-free; the result does not depend on application
-    order, but the implementation fixes one anyway: agents in declaration
-    order, each along its most preferred matchable edge, thresholds
-    recomputed after every move.
+    order, but the implementation fixes one anyway: the first agent in
+    declaration order that has a matchable edge moves along its most
+    preferred one, with thresholds kept as cursors (see ``_Promoter``).
     """
     assignment = dict(matching.assignment)
-
-    def tight(a: str, p: str) -> bool:
-        return edge_lhs(inst, dual, a, p) == inst.cost[p]
-
-    _run_free_promotions(inst, tight, assignment, None)
+    tight = {edge for edge, v in zip(_edges(inst), _lhs_values(inst, dual))
+             if v == inst.cost[edge[1]]}
+    _Promoter(inst, assignment, lambda a, p: (a, p) in tight, None).run()
     return Matching({a: assignment[a] for a in inst.agents if a in assignment})
 
 
-def _run_free_promotions(inst: Instance, tight: Callable[[str, str], bool],
-                         assignment: dict[str, str],
-                         trace: list[TraceEvent] | None) -> dict[str, str | None]:
-    """Mutates ``assignment``; returns the final threshold index."""
-    edge_budget = metrics(inst).edges + 1
-    moves = 0
-    while True:
-        thresh = _thresholds(inst, assignment)
-        move = None
-        for a in inst.agents:
-            for p in inst.agent_prefs[a]:
-                if thresh[p] == a and tight(a, p):
-                    move = (a, p)
-                    break
-            if move:
-                break
-        if move is None:
-            return thresh
-        a, p = move
-        old = assignment.get(a)
-        assignment[a] = p
-        if trace is not None:
-            trace.append({"event": "free_promote", "agent": a,
-                          "source": old, "target": p})
-        moves += 1
-        if moves > edge_budget:
-            raise RuntimeError("free promotions exceeded the edge budget")
+class _Promoter:
+    """Thresholds as cursors, plus a heap of agents that may have a free move.
+
+    ``thresh[p]`` is the most preferred agent on p's list that would rather
+    be at p.  Every move strictly improves the mover, so "a would rather be
+    at p" only ever turns from true to false: each threshold is a cursor
+    (``pos[p]``) that only moves down p's list, and after a move by a only
+    the cursors sitting on a need to advance.
+
+    An agent is *matchable* when one of its tight edges has it as threshold.
+    Every matchable agent is on ``heap`` (declaration indices, duplicates and
+    stale entries allowed): an agent is pushed when it becomes a threshold
+    and, through ``touch``, whenever the lhs of one of its edges changes.
+    ``run`` pops the smallest index and re-validates it, which yields the
+    first matchable agent in declaration order without scanning them all.
+    """
+
+    def __init__(self, inst: Instance, assignment: dict[str, str],
+                 tight: Callable[[str, str], bool],
+                 trace: list[TraceEvent] | None) -> None:
+        self.inst = inst
+        self.assignment = assignment
+        self.tight = tight
+        self.trace = trace
+        self.edge_budget = metrics(inst).edges + 1
+        self.index = {a: i for i, a in enumerate(inst.agents)}
+        self.heap: list[int] = []
+        self.pos: dict[str, int] = {}
+        self.thresh: dict[str, str | None] = {}
+        for p in inst.programs:
+            self._advance(p, 0)
+
+    def _advance(self, p: str, start: int) -> None:
+        """Move p's cursor to the first agent from ``start`` that wants p."""
+        prefs = self.inst.program_prefs[p]
+        i = start
+        while i < len(prefs) and not self._wants(prefs[i], p):
+            i += 1
+        self.pos[p] = i
+        self.thresh[p] = None
+        if i < len(prefs):
+            self.thresh[p] = prefs[i]
+            self.touch(prefs[i])
+
+    def _wants(self, a: str, p: str) -> bool:
+        """Whether a is unmatched or would rather be at p than where it is."""
+        cur = self.assignment.get(a)
+        return cur is None or self.inst.agent_rank[a][p] < self.inst.agent_rank[a][cur]
+
+    def touch(self, a: str) -> None:
+        heapq.heappush(self.heap, self.index[a])
+
+    def matchable(self, a: str) -> str | None:
+        """a's most preferred tight edge whose threshold is a, if any."""
+        return next((p for p in self.inst.agent_prefs[a]
+                     if self.thresh[p] == a and self.tight(a, p)), None)
+
+    def move(self, a: str, p: str) -> str | None:
+        """Assign a to p, an improvement for a; returns a's old program."""
+        old = self.assignment.get(a)
+        self.assignment[a] = p
+        for q in self.inst.agent_prefs[a]:
+            if self.thresh[q] == a and not self._wants(a, q):
+                self._advance(q, self.pos[q] + 1)
+        return old
+
+    def run(self) -> None:
+        """Apply free promotions until no agent is matchable."""
+        moves = 0
+        agents = self.inst.agents
+        while self.heap:
+            a = agents[heapq.heappop(self.heap)]
+            p = self.matchable(a)
+            if p is None:
+                continue
+            old = self.move(a, p)
+            _emit(self.trace, {"event": "free_promote", "agent": a,
+                               "source": old, "target": p})
+            moves += 1
+            if moves > self.edge_budget:
+                raise InvariantBroken("free promotions exceeded the edge budget")
 
 
 def solve_two_cost(inst: Instance, check_invariants: bool = False,
@@ -198,35 +279,38 @@ def solve_two_cost(inst: Instance, check_invariants: bool = False,
         if pick is not None:
             assignment[a] = pick
     _emit(trace, {"event": "init", "matching": dict(assignment)})
-    thresh = _thresholds(inst, assignment)
+    promoter = _Promoter(inst, assignment, tight, trace)
+    thresh = promoter.thresh
     _emit(trace, {"event": "thresholds", "map": dict(thresh)})
 
-    n_edges = metrics(inst).edges
-    budget = 8 * (n_edges + 1) * (len(inst.agents) + 1) + 64
+    budget = 8 * promoter.edge_budget * (len(inst.agents) + 1) + 64
     spent = 0
+    first_free = 0  # matched agents never become unmatched
     while len(assignment) < len(inst.agents):
-        a = next(x for x in inst.agents if x not in assignment)
+        while inst.agents[first_free] in assignment:
+            first_free += 1
+        a = inst.agents[first_free]
         _emit(trace, {"event": "select", "agent": a})
         while a not in assignment:
             spent += 1
             if spent > budget:
-                raise RuntimeError("two-cost solver exceeded its step budget")
+                raise InvariantBroken("two-cost solver exceeded its step budget")
             dual.y[a] += gap
             for p in inst.agent_prefs[a]:
                 lhs[(a, p)] += gap
+            promoter.touch(a)
             _emit(trace, {"event": "y_update", "agent": a, "value": dual.y[a],
                           "tight": [p for p in inst.agent_prefs[a] if tight(a, p)]})
             if check_invariants:
-                _audit(inst, dual, lhs, assignment)
-            direct = next((p for p in inst.agent_prefs[a]
-                           if tight(a, p) and thresh[p] == a), None)
+                _audit(inst, dual, lhs, assignment, thresh)
+            direct = promoter.matchable(a)
             if direct is not None:
-                assignment[a] = direct
+                promoter.move(a, direct)
                 _emit(trace, {"event": "promote", "agent": a,
                               "source": None, "target": direct})
-                thresh = _run_free_promotions(inst, tight, assignment, trace)
+                promoter.run()
                 if check_invariants:
-                    _audit(inst, dual, lhs, assignment)
+                    _audit(inst, dual, lhs, assignment, thresh)
                 continue
             candidates = _candidate_programs(inst, lhs, thresh, assignment, a)
             _emit(trace, {"event": "candidates", "agent": a,
@@ -234,7 +318,7 @@ def solve_two_cost(inst: Instance, check_invariants: bool = False,
             while candidates:
                 spent += 1
                 if spent > budget:
-                    raise RuntimeError("two-cost solver exceeded its step budget")
+                    raise InvariantBroken("two-cost solver exceeded its step budget")
                 helper = thresh[candidates[0]]
                 group = [p for p in candidates if thresh[p] == helper]
                 pz = max(group, key=lambda p: arank[helper][p])
@@ -245,21 +329,21 @@ def solve_two_cost(inst: Instance, check_invariants: bool = False,
                     if arank[helper][p] <= pz_rank:
                         lhs[(helper, p)] += gap
                 lhs[(a, pz)] -= gap
+                promoter.touch(helper)
+                promoter.touch(a)
                 _emit(trace, {"event": "z_update", "preferred": helper,
                               "program": pz, "agent": a, "value": dual.z[key],
                               "tight": [p for p in inst.agent_prefs[helper]
                                         if tight(helper, p)]})
-                dest = next((p for p in inst.agent_prefs[helper]
-                             if tight(helper, p) and thresh[p] == helper), None)
+                dest = promoter.matchable(helper)
                 if dest is None:
-                    raise RuntimeError("helper agent has no matchable edge")
-                old = assignment.get(helper)
-                assignment[helper] = dest
+                    raise InvariantBroken("helper agent has no matchable edge")
+                old = promoter.move(helper, dest)
                 _emit(trace, {"event": "promote", "agent": helper,
                               "source": old, "target": dest})
-                thresh = _run_free_promotions(inst, tight, assignment, trace)
+                promoter.run()
                 if check_invariants:
-                    _audit(inst, dual, lhs, assignment)
+                    _audit(inst, dual, lhs, assignment, thresh)
                 candidates = _candidate_programs(inst, lhs, thresh, assignment, a)
                 _emit(trace, {"event": "candidates", "agent": a,
                               "programs": list(candidates)})
@@ -303,25 +387,27 @@ def _finish(inst: Instance, dual: DualState, matching: Matching,
             trace: list[TraceEvent] | None
             ) -> tuple[AugmentedSolution, DualState]:
     """Terminal guarantees, always enforced: feasible dual, tight matched
-    edges, and the list-length cost certificate."""
+    edges, and the list-length cost certificate.  Every edge is recomputed
+    from ``dual`` alone, never from the solver's incremental lhs cache."""
     check = check_dual_feasible(inst, dual)
     if not check.feasible:
-        raise RuntimeError(f"dual infeasible at termination: {check.violations[:3]}")
-    for a, p in matching.assignment.items():
-        if edge_lhs(inst, dual, a, p) != inst.cost[p]:
-            raise RuntimeError(f"matched edge ({a!r}, {p!r}) is not tight")
+        raise InvariantBroken(f"dual infeasible at termination: {check.violations[:3]}")
+    for (a, p), v in zip(_edges(inst), check.lhs):
+        if matching.assignment.get(a) == p and v != inst.cost[p]:
+            raise InvariantBroken(f"matched edge ({a!r}, {p!r}) is not tight")
     solution = build_solution(inst, matching, "twocost",
                               dual_objective=check.objective)
     longest = metrics(inst).max_agent_list
     if solution.total_cost > longest * check.objective:
-        raise RuntimeError("cost certificate violated at termination")
+        raise InvariantBroken("cost certificate violated at termination")
     return solution, dual
 
 
 def _audit(inst: Instance, dual: DualState, lhs: dict,
-           assignment: dict[str, str]) -> None:
-    """Debug-mode invariants: cached lhs matches scratch recomputation, the
-    dual stays feasible, and the matching stays envy-free."""
+           assignment: dict[str, str], thresh: dict[str, str | None]) -> None:
+    """Debug-mode invariants: the cached lhs and cursor thresholds match
+    their from-scratch recomputation, the dual stays feasible, and the
+    matching stays envy-free."""
     for a in inst.agents:
         for p in inst.agent_prefs[a]:
             fresh = edge_lhs(inst, dual, a, p)
@@ -331,6 +417,10 @@ def _audit(inst: Instance, dual: DualState, lhs: dict,
                 )
             if fresh > inst.cost[p]:
                 raise AssertionError(f"dual constraint violated on ({a!r}, {p!r})")
+    fresh_thresh = compute_thresholds(inst, Matching(assignment))
+    if fresh_thresh != thresh:
+        drift = sorted(p for p in inst.programs if fresh_thresh[p] != thresh[p])
+        raise AssertionError(f"threshold cursor drift on {drift[:3]}")
     arank = inst.agent_rank
     prank = inst.program_rank
     for a, p in assignment.items():

@@ -4,7 +4,8 @@ PASS/FAIL line that survives output capture.
 Criteria, in order: the two-cost golden trace, exactness of the minmax
 solver against brute force, approximation bounds against the oracle,
 frozen fixture ratios, the invariant suites, and reduction soundness.
-A smoke benchmark on a ten-thousand-edge instance closes the file.
+Smoke benchmarks on a ten-thousand-edge instance and a two-thousand-agent
+two-cost market close the file.
 """
 
 from __future__ import annotations
@@ -270,3 +271,15 @@ def test_smoke_benchmark_ten_thousand_edges(announce):
         lp_time = time.perf_counter() - start
         assert lp.a_perfect and lp.stable
         assert lp_time < 5.0
+
+
+def test_smoke_benchmark_two_cost_two_thousand_agents(announce):
+    with reported(announce, "smoke benchmark twocost"):
+        inst = random_instance(2000, 400, 4, (0,), (1, 3), seed=5)
+
+        start = time.perf_counter()
+        solution, dual = solve_two_cost(inst)
+        elapsed = time.perf_counter() - start
+        assert solution.a_perfect and solution.stable
+        assert check_dual_feasible(inst, dual).feasible
+        assert elapsed < 5.0

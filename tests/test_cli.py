@@ -115,6 +115,21 @@ def test_solve_twocost_precondition_exit(instance_file, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_solve_broken_invariant_exits_one_without_traceback(
+        instance_file, capsys, monkeypatch):
+    import capmatch.twocost as twocost
+
+    def infeasible(inst, dual):
+        return twocost.DualCheck(False, 0, (("a1", "p1", 9, 1),), [])
+
+    monkeypatch.setattr(twocost, "check_dual_feasible", infeasible)
+    path = instance_file(BINARY_COST_TEXT)
+    assert main(["solve", "--alg", "twocost", "--in", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: dual infeasible at termination")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_solve_oracle_limit_exit(instance_file, capsys):
     path = instance_file(BINARY_COST_TEXT)
     assert main(["solve", "--alg", "oracle-minsum", "--in", path,

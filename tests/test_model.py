@@ -102,6 +102,14 @@ def test_instance_direct_construction_validates():
                  {"p1": 0}, {"p1": 0})  # one-sided edge
 
 
+@pytest.mark.parametrize("quota,cost", [(True, 0), (0, False), (1.0, 0)])
+def test_instance_rejects_bool_and_float_quota_or_cost(quota, cost):
+    # bool subclasses int, so an isinstance(.., int) check alone lets it in
+    with pytest.raises(ValidationError):
+        Instance(("a1",), ("p1",), {"a1": ("p1",)}, {"p1": ("a1",)},
+                 {"p1": quota}, {"p1": cost})
+
+
 def test_instance_allows_programmatic_empty_agent_list():
     inst = Instance(("a1",), ("p1",), {"a1": ()}, {"p1": ()},
                     {"p1": 1}, {"p1": 0})

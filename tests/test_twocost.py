@@ -74,6 +74,26 @@ def test_check_dual_infeasible(binary_cost):
     assert check.violations[0] == ("a3", "p1", 2, 1)
 
 
+def test_dual_check_lhs_matches_edge_lhs_on_arbitrary_duals():
+    # z keys here need not be envy triples: repeated agents, non-edges, zeros
+    rng = random.Random(1729)
+    for _ in range(100):
+        inst = random_instance(rng.randint(1, 6), rng.randint(1, 5), 4,
+                               (0,), (0, 1, 2), seed=rng.randrange(10**6))
+        dual = DualState(y={a: rng.randint(0, 3) for a in inst.agents})
+        for _ in range(rng.randint(0, 8)):
+            key = (rng.choice(inst.agents), rng.choice(inst.programs),
+                   rng.choice(inst.agents))
+            dual.z[key] = rng.randint(0, 2)
+        check = check_dual_feasible(inst, dual)
+        edges = [(a, p) for a in inst.agents for p in inst.agent_prefs[a]]
+        fresh = [edge_lhs(inst, dual, a, p) for a, p in edges]
+        assert check.lhs == fresh
+        assert check.violations == tuple(
+            (a, p, v, inst.cost[p]) for (a, p), v in zip(edges, fresh)
+            if v > inst.cost[p])
+
+
 def test_thresholds(binary_cost):
     t = compute_thresholds(binary_cost, Matching({"a1": "p0", "a2": "p0"}))
     assert t == {"p0": None, "p1": "a1", "p2": "a1", "p3": "a2"}
