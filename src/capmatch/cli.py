@@ -120,7 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run_solve(args: argparse.Namespace) -> int:
-    inst = parse_instance(Path(args.infile).read_text())
+    inst = parse_instance(_read(args.infile))
     trace_events = [] if args.trace else None
     if args.alg == "minmax":
         sol = solve_minmax(inst)
@@ -170,8 +170,8 @@ def _render(doc: dict, fmt: str) -> str:
 
 
 def run_verify(args: argparse.Namespace) -> int:
-    inst = parse_instance(Path(args.infile).read_text())
-    doc = _load_solution(Path(args.solution).read_text())
+    inst = parse_instance(_read(args.infile))
+    doc = _load_solution(_read(args.solution))
     violations: list[dict] = []
     blocking = None
 
@@ -240,7 +240,8 @@ def run_verify(args: argparse.Namespace) -> int:
 def _load_solution(text: str) -> dict:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and integers past the digit limit
         raise ParseError(f"solution is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("solution document must be a JSON object")
@@ -276,7 +277,7 @@ def run_gen_random(args: argparse.Namespace) -> int:
 
 
 def run_reduce_setcover(args: argparse.Namespace) -> int:
-    n, k, sets = read_set_cover(Path(args.infile).read_text())
+    n, k, sets = read_set_cover(_read(args.infile))
     artifact = from_set_cover(n, sets, k)
     Path(args.out).write_text(serialize_instance(artifact.instance))
     print(json.dumps(_meta_doc(artifact), indent=2))
@@ -284,7 +285,7 @@ def run_reduce_setcover(args: argparse.Namespace) -> int:
 
 
 def run_reduce_vertexcover(args: argparse.Namespace) -> int:
-    n_vertices, edges = read_graph(Path(args.infile).read_text())
+    n_vertices, edges = read_graph(_read(args.infile))
     artifact = from_vertex_cover(n_vertices, edges, args.k, args.eps)
     Path(args.out).write_text(serialize_instance(artifact.instance))
     print(json.dumps(_meta_doc(artifact), indent=2))
@@ -304,6 +305,15 @@ def _int_list(raw: str, flag: str) -> list[int]:
         return [int(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError:
         raise ValidationError(f"{flag} expects comma-separated integers") from None
+
+
+def _read(path: str) -> str:
+    """The UTF-8 text of an input file; other bytes are malformed input."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                         f"{exc.start})") from None
 
 
 def _write(out: str | None, payload: str) -> None:

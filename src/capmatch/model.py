@@ -16,6 +16,18 @@ Names are ASCII tokens matching ``[A-Za-z0-9_]+``.  A list after ``:`` may be
 empty only on a program line.  Declaration order of lines is the canonical
 order used for every deterministic tie-break in the solvers.
 
+Checks are split between two places.  ``parse_instance`` checks what one line
+shows and names the line: the ``:`` separator, the declaration shape, the
+identifier syntax of every token, ``q=``/``c=`` integers and their signs, a
+name declared twice, an empty agent list and a list that repeats an entry.
+``Instance._validate`` runs on every instance, parsed or built directly, and
+reports without line numbers: it checks what needs the whole instance (every
+listed name is declared, the lists are mutual) and, for instances built
+directly, repeats the per-name checks (identifiers, duplicates, mapping keys,
+quotas and costs).  The first failing check raises ``ParseError`` (malformed
+syntax) or ``ValidationError`` (a broken model rule); which check fires first
+is fixed, and ``tests/test_parse_diagnostics.py`` pins it.
+
 Solutions serialize to a JSON object with fields ``matching`` (unmatched
 agents omitted), ``augmentation`` (zero entries omitted), ``total_cost``,
 ``max_cost``, ``a_perfect``, ``stable``, ``algorithm`` and, for the primal-dual
@@ -38,6 +50,12 @@ from .errors import (
 )
 
 _IDENT = re.compile(r"[A-Za-z0-9_]+\Z")
+# Whitespace-separated identifiers: \s is exactly what str.split() splits on,
+# so a string matches when each token of its split() matches _IDENT.
+_LIST = re.compile(r"[\sA-Za-z0-9_]*\Z")
+# Identifier characters only; with no empty name among them, the join of
+# some names matches exactly when each name matches _IDENT.
+_IDENT_CHARS = re.compile(r"[A-Za-z0-9_]*\Z")
 
 # Rank value larger than any real preference position; stands in for "unmatched".
 NO_RANK = 1 << 60
@@ -73,6 +91,44 @@ class Instance:
         self._validate()
 
     def _validate(self) -> None:
+        """Raise ValidationError unless the instance is well formed.
+
+        The checks run as whole-collection operations; only when one fails do
+        the per-name loops of :meth:`_raise_first_error` run, to name the
+        first fault in their fixed order."""
+        if not self._well_formed():
+            self._raise_first_error()
+
+    def _well_formed(self) -> bool:
+        """Whether every check of :meth:`_raise_first_error` passes."""
+        agents, programs = self.agents, self.programs
+        agent_set, program_set = set(agents), set(programs)
+        if not (all(agents) and _IDENT_CHARS.match("".join(agents))
+                and all(programs) and _IDENT_CHARS.match("".join(programs))
+                and len(agent_set) == len(agents)
+                and len(program_set) == len(programs)
+                and self.agent_prefs.keys() == agent_set
+                and self.program_prefs.keys() == program_set
+                and self.quota.keys() == program_set
+                and self.cost.keys() == program_set
+                and all(map(_is_count, self.quota.values()))
+                and all(map(_is_count, self.cost.values()))):
+            return False
+        # Mutuality, read off the agent rank table that every solver builds
+        # anyway: both sides hold the same number of entries, no program list
+        # repeats one, and each is in its agent's rank dict.  The program-side
+        # edges are then as many as the agent-side entries and a subset of the
+        # agent-side edges, so the two edge sets are equal, no agent list
+        # repeats an entry, and every listed name is declared.
+        program_lists = self.program_prefs.values()
+        edges = sum(map(len, self.agent_prefs.values()))
+        rank = self.agent_rank
+        return (sum(map(len, program_lists)) == edges
+                and sum(map(len, map(set, program_lists))) == edges
+                and all(p in rank.get(a, ())
+                        for p, prefs in self.program_prefs.items() for a in prefs))
+
+    def _raise_first_error(self) -> None:
         for name in list(self.agents) + list(self.programs):
             if not _IDENT.match(name):
                 raise ValidationError(f"bad identifier {name!r}")
@@ -192,8 +248,6 @@ class AugmentedSolution:
 
 def parse_instance(text: str) -> Instance:
     """Parse instance-file text; ParseError/ValidationError carry line numbers."""
-    agents: list[str] = []
-    programs: list[str] = []
     agent_prefs: dict[str, tuple[str, ...]] = {}
     program_prefs: dict[str, tuple[str, ...]] = {}
     quota: dict[str, int] = {}
@@ -214,54 +268,50 @@ def parse_instance(text: str) -> Instance:
         if kind == "agent":
             if len(fields) != 2:
                 raise ParseError(f"line {lineno}: expected 'agent <name> : ...'")
-            name = fields[1]
-            _check_ident(name, lineno)
-            if name in agent_prefs:
-                raise ValidationError(f"line {lineno}: duplicate agent {name!r}")
-            if not items:
-                raise ValidationError(
-                    f"line {lineno}: agent {name!r} has an empty preference list"
-                )
-            _check_items(items, lineno)
-            agents.append(name)
-            agent_prefs[name] = tuple(items)
+            lists = agent_prefs
         elif kind == "program":
             if len(fields) != 4:
                 raise ParseError(
                     f"line {lineno}: expected 'program <name> q=<int> c=<int> : ...'"
                 )
-            name = fields[1]
-            _check_ident(name, lineno)
-            if name in program_prefs:
-                raise ValidationError(f"line {lineno}: duplicate program {name!r}")
+            lists = program_prefs
+        else:
+            raise ParseError(f"line {lineno}: unknown declaration {kind!r}")
+        name = fields[1]
+        _check_ident(name, lineno)
+        if name in lists:
+            raise ValidationError(f"line {lineno}: duplicate {kind} {name!r}")
+        if lists is agent_prefs:
+            if not items:
+                raise ValidationError(
+                    f"line {lineno}: agent {name!r} has an empty preference list"
+                )
+        else:
             q = _parse_kv(fields[2], "q", lineno)
             c = _parse_kv(fields[3], "c", lineno)
             if q < 0:
                 raise ValidationError(f"line {lineno}: negative quota for {name!r}")
             if c < 0:
                 raise ValidationError(f"line {lineno}: negative cost for {name!r}")
-            _check_items(items, lineno)
-            programs.append(name)
-            program_prefs[name] = tuple(items)
             quota[name] = q
             cost[name] = c
-        else:
-            raise ParseError(f"line {lineno}: unknown declaration {kind!r}")
+        # One match clears every token of the list; only a list that fails
+        # it is walked token by token, to name the first bad one.
+        if not _LIST.match(tail):
+            for token in items:
+                _check_ident(token, lineno)
+        prefs = tuple(items)
+        if len(set(prefs)) != len(prefs):
+            raise ValidationError(f"line {lineno}: duplicate entry in preference list")
+        lists[name] = prefs
 
-    return Instance(tuple(agents), tuple(programs), agent_prefs, program_prefs,
-                    quota, cost)
+    return Instance(tuple(agent_prefs), tuple(program_prefs), agent_prefs,
+                    program_prefs, quota, cost)
 
 
 def _check_ident(token: str, lineno: int) -> None:
     if not _IDENT.match(token):
         raise ValidationError(f"line {lineno}: bad identifier {token!r}")
-
-
-def _check_items(items: list[str], lineno: int) -> None:
-    for it in items:
-        _check_ident(it, lineno)
-    if len(set(items)) != len(items):
-        raise ValidationError(f"line {lineno}: duplicate entry in preference list")
 
 
 def _parse_kv(token: str, key: str, lineno: int) -> int:

@@ -101,60 +101,74 @@ def _search(inst: Instance, objective: str,
                     return False
         return True
 
-    def dfs(depth: int, partial: int) -> None:
-        nonlocal best_cost, best_choices
-        if best_cost is not None and partial >= best_cost:
-            return
-        if depth == n:
-            if leaf_ok():
-                best_cost, best_choices = partial, tuple(choices)
-            return
+    def options(depth: int) -> range:
+        if depth == 0 and first_choice is not None:
+            return range(first_choice, first_choice + 1)
+        return range(len(prefs[depth]))
+
+    # Depth-first with an explicit stack, since the depth is the agent count.
+    # Level d holds agent d's untried choices and the partial cost of the
+    # placements above it; placed/choices/counts hold one entry per agent
+    # placed so far.
+    untried = [iter(options(0))]
+    partials = [0]
+    while untried:
+        depth = len(untried) - 1
+        ix = next(untried[-1], None)
+        if ix is None:
+            untried.pop()
+            partials.pop()
+            if placed:
+                choices.pop()
+                counts[placed.pop()] -= 1
+            continue
         a = agents[depth]
         my_arank = arank[a]
-        options = prefs[depth]
-        if depth == 0 and first_choice is not None:
-            span = range(first_choice, first_choice + 1)
-        else:
-            span = range(len(options))
-        for ix in span:
-            p = options[ix]
-            my_rank_here = my_arank[p]
-            p_ranks = prank[p]
-            ok = True
-            for j in range(depth):
-                b = agents[j]
-                pb = placed[j]
-                # would a envy b, or b envy a?
-                if my_arank.get(pb, NO_RANK) < my_rank_here and \
-                        prank[pb][a] < prank[pb][b]:
-                    ok = False
-                    break
-                b_rank = arank[b]
-                if b_rank.get(p, NO_RANK) < b_rank[pb] and \
-                        p_ranks[b] < p_ranks[a]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            held = counts.get(p, 0)
-            if held >= quota[p]:
-                spend_unit = cost[p]
-                if summing:
-                    nxt = partial + spend_unit
-                else:
-                    spend = (held + 1 - quota[p]) * spend_unit
-                    nxt = spend if spend > partial else partial
+        p = prefs[depth][ix]
+        my_rank_here = my_arank[p]
+        p_ranks = prank[p]
+        ok = True
+        for j in range(depth):
+            b = agents[j]
+            pb = placed[j]
+            # would a envy b, or b envy a?
+            if my_arank.get(pb, NO_RANK) < my_rank_here and \
+                    prank[pb][a] < prank[pb][b]:
+                ok = False
+                break
+            b_rank = arank[b]
+            if b_rank.get(p, NO_RANK) < b_rank[pb] and \
+                    p_ranks[b] < p_ranks[a]:
+                ok = False
+                break
+        if not ok:
+            continue
+        partial = partials[-1]
+        held = counts.get(p, 0)
+        if held >= quota[p]:
+            spend_unit = cost[p]
+            if summing:
+                nxt = partial + spend_unit
             else:
-                nxt = partial
-            counts[p] = held + 1
-            placed.append(p)
-            choices.append(ix)
-            dfs(depth + 1, nxt)
-            choices.pop()
-            placed.pop()
-            counts[p] = held
+                spend = (held + 1 - quota[p]) * spend_unit
+                nxt = spend if spend > partial else partial
+        else:
+            nxt = partial
+        if best_cost is not None and nxt >= best_cost:
+            continue
+        counts[p] = held + 1
+        placed.append(p)
+        choices.append(ix)
+        if depth + 1 < n:
+            untried.append(iter(options(depth + 1)))
+            partials.append(nxt)
+            continue
+        if leaf_ok():
+            best_cost, best_choices = nxt, tuple(choices)
+        choices.pop()
+        placed.pop()
+        counts[p] = held
 
-    dfs(0, 0)
     if best_choices is None:
         return None
     return best_cost, best_choices

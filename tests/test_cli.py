@@ -137,6 +137,22 @@ def test_solve_oracle_limit_exit(instance_file, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_solve_oracle_deep_search_exits_cleanly(instance_file, capsys):
+    # 3000 single-choice agents: a search space of 1, but 3000 levels deep
+    lines = [f"agent a{i} : p{i}" for i in range(3000)]
+    lines += [f"program p{i} q=1 c=1 : a{i}" for i in range(3000)]
+    path = instance_file("\n".join(lines) + "\n")
+    code = main(["solve", "--alg", "oracle-minsum", "--in", path])
+    captured = capsys.readouterr()
+    assert code in (0, 3)
+    assert "Traceback" not in captured.err
+    if code == 0:
+        doc = json.loads(captured.out)
+        assert len(doc["matching"]) == 3000 and doc["total_cost"] == 0
+    else:
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
 def test_solve_oracle_workers(instance_file, capsys):
     path = instance_file(CASCADE_TEXT)
     assert main(["solve", "--alg", "oracle-minsum", "--in", path,
@@ -147,6 +163,15 @@ def test_solve_oracle_workers(instance_file, capsys):
 def test_solve_malformed_instance(instance_file, capsys):
     path = instance_file("agent a1 p1\n")
     assert main(["solve", "--alg", "minmax", "--in", path]) == 2
+
+
+def test_solve_non_utf8_instance(tmp_path, capsys):
+    path = tmp_path / "instance.txt"
+    path.write_bytes(b"agent a1 : p1\n\xff\xfe\n")
+    assert main(["solve", "--alg", "minmax", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not UTF-8" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_solve_missing_file(tmp_path, capsys):
@@ -229,6 +254,31 @@ def test_verify_malformed_solution(instance_file, tmp_path, capsys):
     sol_path.write_text("not json")
     assert main(["verify", "--in", inst_path,
                  "--solution", str(sol_path)]) == 2
+
+
+def test_verify_non_utf8_solution(instance_file, tmp_path, capsys):
+    inst_path = instance_file(BINARY_COST_TEXT)
+    sol_path = tmp_path / "sol.json"
+    sol_path.write_bytes(b'{"matching": "\xff\xfe"}')
+    assert main(["verify", "--in", inst_path,
+                 "--solution", str(sol_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not UTF-8" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 100_000 + "]" * 100_000,           # nesting past the recursion limit
+    '{"total_cost": ' + "9" * 5000 + "}",    # past the int digit limit
+], ids=["deep-nesting", "huge-integer"])
+def test_verify_unreadable_json_solution(instance_file, tmp_path, capsys, text):
+    inst_path = instance_file(BINARY_COST_TEXT)
+    sol_path = tmp_path / "sol.json"
+    sol_path.write_text(text)
+    assert main(["verify", "--in", inst_path,
+                 "--solution", str(sol_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_gen_random_deterministic(capsys):
