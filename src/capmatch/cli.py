@@ -153,7 +153,7 @@ def run_solve(args: argparse.Namespace) -> int:
 
 def _render(doc: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(doc, indent=2) + "\n"
+        return _indented_json(doc)
     lines = []
     for a, p in doc["matching"].items():
         lines.append(f"matching {a} {p}")
@@ -167,6 +167,23 @@ def _render(doc: dict, fmt: str) -> str:
                 value = "true" if value else "false"
             lines.append(f"{key} {value}")
     return "\n".join(lines) + "\n"
+
+
+def _indented_json(doc: dict) -> str:
+    """``json.dumps(doc, indent=2) + "\\n"`` for a solution document, whose
+    values are scalars or flat dicts of scalars.
+
+    ``json`` uses its C encoder only without ``indent``; with the separator
+    below it writes a flat dict's items one per line, indented for depth 2,
+    so only the braces of each nested dict are laid out here."""
+    fields = []
+    for key, value in doc.items():
+        if isinstance(value, dict) and value:
+            items = json.dumps(value, separators=(",\n    ", ": "))[1:-1]
+            fields.append(f"{json.dumps(key)}: {{\n    {items}\n  }}")
+        else:
+            fields.append(f"{json.dumps(key)}: {json.dumps(value)}")
+    return "{\n  " + ",\n  ".join(fields) + "\n}\n"
 
 
 def run_verify(args: argparse.Namespace) -> int:

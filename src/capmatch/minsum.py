@@ -55,6 +55,9 @@ class ProgramClassification:
     empty_programs: frozenset[str]
     fallback_programs: frozenset[str]
     labels: dict[str, str]
+    # cheapest acceptable program of each agent unmatched in the initial
+    # matching, in declaration order; these make up ``fallback_programs``
+    parking: tuple[str, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "labels", dict(self.labels))
@@ -82,18 +85,19 @@ class LpApproxRun:
 
 def classify_programs(inst: Instance, initial: Matching) -> ProgramClassification:
     """Label programs by (held seats in ``initial``?, cheapest fallback?)."""
-    empty = frozenset(p for p in inst.programs if initial.load(p) == 0)
-    fallback = frozenset(
-        least_cost_program(inst, a) for a in inst.agents
-        if initial.program_of(a) is None
-    )
+    held = initial.roster
+    empty = frozenset(p for p in inst.programs if p not in held)
+    matched = initial.assignment
+    parking = tuple(least_cost_program(inst, a) for a in inst.agents
+                    if a not in matched)
+    fallback = frozenset(parking)
     labels = {}
     for p in inst.programs:
         if p in empty:
             labels[p] = EMPTY_FALLBACK if p in fallback else EMPTY
         else:
             labels[p] = OCCUPIED_FALLBACK if p in fallback else OCCUPIED
-    return ProgramClassification(empty, fallback, labels)
+    return ProgramClassification(empty, fallback, labels, parking)
 
 
 def lp_approx_run(inst: Instance) -> LpApproxRun:
@@ -109,10 +113,11 @@ def lp_approx_run(inst: Instance) -> LpApproxRun:
         return LpApproxRun(solution, initial, classification, (),
                            solution.total_cost)
 
-    assignment = dict(initial.assignment)
-    for a in inst.agents:
-        if a not in assignment:
-            assignment[a] = least_cost_program(inst, a)
+    # park every unmatched agent at the cheapest program classification found
+    matched = initial.assignment
+    assignment = dict(matched)
+    assignment.update(zip((a for a in inst.agents if a not in matched),
+                          classification.parking))
 
     arank = inst.agent_rank
     prank = inst.program_rank

@@ -56,6 +56,9 @@ _LIST = re.compile(r"[\sA-Za-z0-9_]*\Z")
 # Identifier characters only; with no empty name among them, the join of
 # some names matches exactly when each name matches _IDENT.
 _IDENT_CHARS = re.compile(r"[A-Za-z0-9_]*\Z")
+# A q=/c= value: ASCII digits with an optional minus sign, and nothing else
+# that int() would take (a plus sign, "_" separators, non-ASCII digits).
+_INT = re.compile(r"-?[0-9]+\Z")
 
 # Rank value larger than any real preference position; stands in for "unmatched".
 NO_RANK = 1 << 60
@@ -318,10 +321,13 @@ def _parse_kv(token: str, key: str, lineno: int) -> int:
     prefix = key + "="
     if not token.startswith(prefix):
         raise ParseError(f"line {lineno}: expected '{key}=<int>', got {token!r}")
-    try:
-        return int(token[len(prefix):])
-    except ValueError:
-        raise ParseError(f"line {lineno}: {token!r} is not an integer") from None
+    digits = token[len(prefix):]
+    if _INT.match(digits):
+        try:
+            return int(digits)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise ParseError(f"line {lineno}: {token!r} is not an integer")
 
 
 def serialize_instance(inst: Instance) -> str:
@@ -345,17 +351,22 @@ def metrics(inst: Instance) -> InstanceMetrics:
 
 
 def least_cost_program(inst: Instance, agent: str) -> str:
-    """Cheapest acceptable program; ties go to the most preferred one."""
+    """Cheapest acceptable program; ties go to the most preferred one.
+
+    ``min`` keeps the first of equal keys and the list runs best-first, so
+    among the programs of least cost the agent's favourite wins."""
     prefs = inst.agent_prefs.get(agent)
-    if agent not in inst.agent_prefs:
+    if prefs is None:
         raise ValidationError(f"unknown agent {agent!r}")
     if not prefs:
         raise EmptyPreferenceList(f"agent {agent!r} has an empty preference list")
-    return min(prefs, key=lambda p: (inst.cost[p], inst.agent_rank[agent][p]))
+    return min(prefs, key=inst.cost.__getitem__)
 
 
 def require_all_matchable(inst: Instance) -> None:
     """Solvers that must match every agent reject empty preference lists."""
+    if all(inst.agent_prefs.values()):
+        return
     for a in inst.agents:
         if not inst.agent_prefs[a]:
             raise UnmatchableAgent(f"agent {a!r} has an empty preference list")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from math import prod
 
 from .errors import InstanceTooLarge, InvariantBroken
-from .model import NO_RANK, AugmentedSolution, Instance, Matching, require_all_matchable
+from .model import AugmentedSolution, Instance, Matching, require_all_matchable
 from .stability import build_solution
 
 MINSUM = "sum"
@@ -86,7 +86,8 @@ def _search(inst: Instance, objective: str,
     best_choices: tuple[int, ...] | None = None
     placed: list[str] = []  # program of agents[0..depth-1]
     choices: list[int] = []
-    counts: dict[str, int] = {}
+    at: dict[str, list[str]] = {p: [] for p in inst.programs}  # agents placed
+    position = {a: i for i, a in enumerate(agents)}
 
     def leaf_ok() -> bool:
         if not any_quota:
@@ -97,9 +98,24 @@ def _search(inst: Instance, objective: str,
             for p in prefs[i]:
                 if arank[a][p] >= my_rank:
                     break
-                if counts.get(p, 0) < quota[p]:
+                if len(at[p]) < quota[p]:
                     return False
         return True
+
+    def envious(a: str, p: str, better: tuple[str, ...], depth: int) -> bool:
+        """Would placing a at p create envy with an agent already placed?
+        Only agents at a program a prefers to p (``better``) can be envied
+        by a, and only agents p prefers to a can envy a."""
+        for q in better:
+            a_rank = prank[q][a]
+            for b in at[q]:
+                if a_rank < prank[q][b]:
+                    return True
+        for b in inst.program_prefs[p][:prank[p][a]]:
+            j = position[b]
+            if j < depth and arank[b][p] < arank[b][placed[j]]:
+                return True
+        return False
 
     def options(depth: int) -> range:
         if depth == 0 and first_choice is not None:
@@ -108,8 +124,8 @@ def _search(inst: Instance, objective: str,
 
     # Depth-first with an explicit stack, since the depth is the agent count.
     # Level d holds agent d's untried choices and the partial cost of the
-    # placements above it; placed/choices/counts hold one entry per agent
-    # placed so far.
+    # placements above it; placed/choices hold one entry per agent placed so
+    # far, and at[p] lists the agents placed at p.
     untried = [iter(options(0))]
     partials = [0]
     while untried:
@@ -120,31 +136,14 @@ def _search(inst: Instance, objective: str,
             partials.pop()
             if placed:
                 choices.pop()
-                counts[placed.pop()] -= 1
+                at[placed.pop()].pop()
             continue
         a = agents[depth]
-        my_arank = arank[a]
         p = prefs[depth][ix]
-        my_rank_here = my_arank[p]
-        p_ranks = prank[p]
-        ok = True
-        for j in range(depth):
-            b = agents[j]
-            pb = placed[j]
-            # would a envy b, or b envy a?
-            if my_arank.get(pb, NO_RANK) < my_rank_here and \
-                    prank[pb][a] < prank[pb][b]:
-                ok = False
-                break
-            b_rank = arank[b]
-            if b_rank.get(p, NO_RANK) < b_rank[pb] and \
-                    p_ranks[b] < p_ranks[a]:
-                ok = False
-                break
-        if not ok:
+        if envious(a, p, prefs[depth][:ix], depth):
             continue
         partial = partials[-1]
-        held = counts.get(p, 0)
+        held = len(at[p])
         if held >= quota[p]:
             spend_unit = cost[p]
             if summing:
@@ -156,7 +155,7 @@ def _search(inst: Instance, objective: str,
             nxt = partial
         if best_cost is not None and nxt >= best_cost:
             continue
-        counts[p] = held + 1
+        at[p].append(a)
         placed.append(p)
         choices.append(ix)
         if depth + 1 < n:
@@ -167,7 +166,7 @@ def _search(inst: Instance, objective: str,
             best_cost, best_choices = nxt, tuple(choices)
         choices.pop()
         placed.pop()
-        counts[p] = held
+        at[p].pop()
 
     if best_choices is None:
         return None

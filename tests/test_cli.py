@@ -153,6 +153,13 @@ def test_solve_oracle_deep_search_exits_cleanly(instance_file, capsys):
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
+def test_solve_rejects_non_ascii_quota(tmp_path, capsys):
+    path = tmp_path / "instance.txt"
+    path.write_bytes("agent a1 : p1\nprogram p1 q=\u0663 c=0 : a1\n".encode())
+    assert main(["solve", "--alg", "lp", "--in", str(path)]) == 2
+    assert capsys.readouterr().err == "error: line 2: 'q=\u0663' is not an integer\n"
+
+
 def test_solve_oracle_workers(instance_file, capsys):
     path = instance_file(CASCADE_TEXT)
     assert main(["solve", "--alg", "oracle-minsum", "--in", path,

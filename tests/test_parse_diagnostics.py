@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from capmatch import (
     CapmatchError,
     Instance,
+    ParseError,
     ValidationError,
     parse_instance,
     serialize_instance,
@@ -240,6 +241,23 @@ def test_pinned_diagnostic(case, make):
 
 def test_table_covers_every_case():
     assert sorted(EXPECTED) == sorted(case for case, _ in all_cases())
+
+
+@pytest.mark.parametrize("token", ["q=\u0663", "c=1_0", "q=+2", "c=\uff11",
+                                   "q=-\u0663", "c=+0", "q=-"])
+def test_counts_take_only_ascii_digits(token):
+    # int() would read each of these; the file format allows -?[0-9]+ only
+    q, c = (token, "c=0") if token.startswith("q") else ("q=0", token)
+    text = f"agent a1 : p1\nprogram p1 {q} {c} : a1\n"
+    with pytest.raises(ParseError) as caught:
+        parse_instance(text)
+    assert str(caught.value) == f"line 2: {token!r} is not an integer"
+
+
+def test_count_past_the_digit_limit_is_not_an_integer():
+    token = "c=" + "9" * 5000
+    with pytest.raises(ParseError, match="is not an integer"):
+        parse_instance(f"agent a1 : p1\nprogram p1 q=0 {token} : a1\n")
 
 
 _NAME = st.text("abcXYZ019_", min_size=1, max_size=6)
