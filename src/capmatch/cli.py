@@ -76,7 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="emit per-step JSON lines on stderr (lp, twocost)")
     solve.add_argument("--limit", type=int, default=OracleLimits().max_search_space,
                        help="oracle search-space ceiling")
-    solve.add_argument("--workers", type=int, default=1)
     solve.add_argument("--format", choices=("json", "text"), default="json")
     solve.set_defaults(func=run_solve)
 
@@ -138,9 +137,9 @@ def run_solve(args: argparse.Namespace) -> int:
     elif args.alg == "twocost":
         sol, _ = solve_two_cost(inst, trace=trace_events)
     elif args.alg == "oracle-minsum":
-        sol = brute_force_minsum(inst, OracleLimits(args.limit), workers=args.workers)
+        sol = brute_force_minsum(inst, OracleLimits(args.limit))
     else:
-        sol = brute_force_minmax(inst, OracleLimits(args.limit), workers=args.workers)
+        sol = brute_force_minmax(inst, OracleLimits(args.limit))
 
     if trace_events:
         for event in trace_events:

@@ -24,10 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import InvalidParams, UncoverableElement
+from .errors import InvalidParams, ParseError, UncoverableElement
 from .model import Instance, Matching
-
-_NAME_SOURCES = ("set_cover", "vertex_cover")
 
 
 @dataclass(frozen=True)
@@ -295,15 +293,19 @@ def min_cover_size(universe_size: int, sets) -> int:
     raise RuntimeError("unreachable: full collection covers the universe")
 
 
-def read_set_cover(text: str) -> tuple[int, int, list[tuple[int, ...]]]:
-    """Parse "n k" then one line of element indices per set."""
-    from .errors import ParseError
-
-    lines = [ln.strip() for ln in text.splitlines()]
-    body = [(i + 1, ln) for i, ln in enumerate(lines)
+def _content_lines(text: str, what: str) -> list[tuple[int, str]]:
+    """(line number, stripped line) of each line that is not blank or a
+    ``#`` comment; ParseError naming ``what`` when there is none."""
+    body = [(i, ln) for i, ln in enumerate(map(str.strip, text.splitlines()), 1)
             if ln and not ln.startswith("#")]
     if not body:
-        raise ParseError("empty set-cover input")
+        raise ParseError(f"empty {what} input")
+    return body
+
+
+def read_set_cover(text: str) -> tuple[int, int, list[tuple[int, ...]]]:
+    """Parse "n k" then one line of element indices per set."""
+    body = _content_lines(text, "set-cover")
     first_no, first = body[0]
     parts = first.split()
     if len(parts) != 2:
@@ -323,13 +325,7 @@ def read_set_cover(text: str) -> tuple[int, int, list[tuple[int, ...]]]:
 
 def read_graph(text: str) -> tuple[int, list[tuple[int, int]]]:
     """Parse "n_vertices" then one "u v" line per edge."""
-    from .errors import ParseError
-
-    lines = [ln.strip() for ln in text.splitlines()]
-    body = [(i + 1, ln) for i, ln in enumerate(lines)
-            if ln and not ln.startswith("#")]
-    if not body:
-        raise ParseError("empty graph input")
+    body = _content_lines(text, "graph")
     first_no, first = body[0]
     try:
         n_vertices = int(first)

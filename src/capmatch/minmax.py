@@ -10,31 +10,20 @@ feasible, so a binary search over the grid is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InvariantBroken
 from .model import AugmentedSolution, Instance, require_all_matchable
 from .stability import build_solution, gale_shapley
 
 
-@dataclass(frozen=True)
-class CandidateGrid:
+def candidate_costs(inst: Instance) -> tuple[int, ...]:
     """Strictly increasing candidate budgets; always contains 0."""
-
-    values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(self.values))
-
-
-def candidate_costs(inst: Instance) -> CandidateGrid:
     vals = {0}
     for p in inst.programs:
         c = inst.cost[p]
         if c > 0:
             room = len(inst.program_prefs[p]) - inst.quota[p]
             vals.update(c * k for k in range(1, room + 1))
-    return CandidateGrid(tuple(sorted(vals)))
+    return tuple(sorted(vals))
 
 
 def budget_quotas(inst: Instance, t: int) -> dict[str, int]:
@@ -64,7 +53,7 @@ def solve_minmax(inst: Instance) -> AugmentedSolution:
     """Smallest feasible budget via binary search; augmentation is trimmed
     to the seats the final matching actually uses."""
     require_all_matchable(inst)
-    values = candidate_costs(inst).values
+    values = candidate_costs(inst)
     lo, hi = 0, len(values) - 1
     while lo < hi:
         mid = (lo + hi) // 2

@@ -4,7 +4,7 @@ Two routes:
 
 * :func:`solve_p_approx` reuses the exact minmax solution; its total cost is
   within a factor of the number of programs of the optimum.
-* :func:`solve_lp_approx` starts from deferred acceptance, parks every
+* :func:`lp_approx_run` starts from deferred acceptance, parks every
   leftover agent at its cheapest acceptable program, then runs one promotion
   sweep per program (agents scanned from the bottom of the program's list)
   moving anyone who envies a current occupant.  The sweep leaves no envy
@@ -101,8 +101,7 @@ def classify_programs(inst: Instance, initial: Matching) -> ProgramClassificatio
 
 
 def lp_approx_run(inst: Instance) -> LpApproxRun:
-    """Full run with instrumentation; :func:`solve_lp_approx` returns just
-    the solution."""
+    """Full run with instrumentation; ``.solution`` is the answer."""
     require_all_matchable(inst)
     initial = gale_shapley(inst, dict(inst.quota))
     classification = classify_programs(inst, initial)
@@ -156,10 +155,6 @@ def lp_approx_run(inst: Instance) -> LpApproxRun:
     solution = build_solution(inst, final, "lp")
     return LpApproxRun(solution, initial, classification, tuple(steps),
                        cost_before_repair)
-
-
-def solve_lp_approx(inst: Instance) -> AugmentedSolution:
-    return lp_approx_run(inst).solution
 
 
 def solve_p_approx(inst: Instance) -> AugmentedSolution:

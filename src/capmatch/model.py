@@ -214,12 +214,6 @@ class Matching:
             out.setdefault(p, []).append(a)
         return {p: tuple(agents) for p, agents in out.items()}
 
-    def program_of(self, agent: str) -> str | None:
-        return self.assignment.get(agent)
-
-    def agents_of(self, program: str) -> tuple[str, ...]:
-        return self.roster.get(program, ())
-
     def load(self, program: str) -> int:
         return len(self.roster.get(program, ()))
 

@@ -6,13 +6,11 @@ keeps the best assignment that is stable once quotas are grown to the load.
 Envy between already-placed agents only gets worse as an assignment is
 extended, so envious prefixes are pruned; partial cost is monotone too, which
 gives a sound branch-and-bound.  The first optimum found is the
-lexicographically smallest, making results deterministic even when the work
-is split across processes.
+lexicographically smallest, making results deterministic.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import prod
 
@@ -31,17 +29,17 @@ class OracleLimits:
     max_search_space: int = 10_000_000
 
 
-def brute_force_minsum(inst: Instance, limits: OracleLimits = OracleLimits(),
-                       workers: int = 1) -> AugmentedSolution:
-    return _solve(inst, MINSUM, limits, workers, "oracle-minsum")
+def brute_force_minsum(inst: Instance,
+                       limits: OracleLimits = OracleLimits()) -> AugmentedSolution:
+    return _solve(inst, MINSUM, limits, "oracle-minsum")
 
 
-def brute_force_minmax(inst: Instance, limits: OracleLimits = OracleLimits(),
-                       workers: int = 1) -> AugmentedSolution:
-    return _solve(inst, MINMAX, limits, workers, "oracle-minmax")
+def brute_force_minmax(inst: Instance,
+                       limits: OracleLimits = OracleLimits()) -> AugmentedSolution:
+    return _solve(inst, MINMAX, limits, "oracle-minmax")
 
 
-def _solve(inst: Instance, objective: str, limits: OracleLimits, workers: int,
+def _solve(inst: Instance, objective: str, limits: OracleLimits,
            algorithm: str) -> AugmentedSolution:
     require_all_matchable(inst)
     space = prod(len(inst.agent_prefs[a]) for a in inst.agents)
@@ -52,14 +50,7 @@ def _solve(inst: Instance, objective: str, limits: OracleLimits, workers: int,
     if not inst.agents:
         return build_solution(inst, Matching({}), algorithm)
 
-    first_choices = range(len(inst.agent_prefs[inst.agents[0]]))
-    if workers <= 1 or len(first_choices) < 2:
-        best = _search(inst, objective, None)
-    else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(first_choices))) as pool:
-            results = pool.map(_search, [inst] * len(first_choices),
-                               [objective] * len(first_choices), first_choices)
-            best = min((r for r in results if r is not None), default=None)
+    best = _search(inst, objective)
     if best is None:
         raise InvariantBroken("no feasible assignment; instance invariant broken")
     _, choices = best
@@ -68,10 +59,8 @@ def _solve(inst: Instance, objective: str, limits: OracleLimits, workers: int,
     return build_solution(inst, Matching(assignment), algorithm)
 
 
-def _search(inst: Instance, objective: str,
-            first_choice: int | None) -> tuple[int, tuple[int, ...]] | None:
-    """Best (cost, choice-vector) over all stable A-perfect assignments,
-    optionally with the first agent's choice pinned."""
+def _search(inst: Instance, objective: str) -> tuple[int, tuple[int, ...]] | None:
+    """Best (cost, choice-vector) over all stable A-perfect assignments."""
     agents = inst.agents
     n = len(agents)
     prefs = [inst.agent_prefs[a] for a in agents]
@@ -117,16 +106,11 @@ def _search(inst: Instance, objective: str,
                 return True
         return False
 
-    def options(depth: int) -> range:
-        if depth == 0 and first_choice is not None:
-            return range(first_choice, first_choice + 1)
-        return range(len(prefs[depth]))
-
     # Depth-first with an explicit stack, since the depth is the agent count.
     # Level d holds agent d's untried choices and the partial cost of the
     # placements above it; placed/choices hold one entry per agent placed so
     # far, and at[p] lists the agents placed at p.
-    untried = [iter(options(0))]
+    untried = [iter(range(len(prefs[0])))]
     partials = [0]
     while untried:
         depth = len(untried) - 1
@@ -159,7 +143,7 @@ def _search(inst: Instance, objective: str,
         placed.append(p)
         choices.append(ix)
         if depth + 1 < n:
-            untried.append(iter(options(depth + 1)))
+            untried.append(iter(range(len(prefs[depth + 1]))))
             partials.append(nxt)
             continue
         if leaf_ok():

@@ -263,9 +263,12 @@ def envy_free_to_stable(inst: Instance, quotas: dict[str, int], matching: Matchi
 
 def build_solution(inst: Instance, matching: Matching, algorithm: str,
                    dual_objective: int | None = None) -> AugmentedSolution:
-    """Assemble a solution, recomputing augmentation, totals and both flags."""
+    """Assemble a solution, recomputing augmentation, totals and both flags.
+
+    ``matching`` comes from a solver, so it is not validated again here; the
+    stability flag is :func:`is_stable_augmented`'s scan without that check."""
     aug, total, biggest = solution_cost(inst, matching)
-    stable, _ = is_stable_augmented(inst, matching)
+    stable = _scan_blocking(inst, matching, inst.quota).empty
     return AugmentedSolution(
         matching=matching,
         aug=aug,

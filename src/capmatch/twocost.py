@@ -44,9 +44,7 @@ from .model import (
     metrics,
     require_all_matchable,
 )
-from .stability import build_solution
-
-TraceEvent = dict
+from .stability import _scan_blocking, build_solution
 
 
 @dataclass
@@ -174,7 +172,7 @@ class _Promoter:
 
     def __init__(self, inst: Instance, assignment: dict[str, str],
                  tight: Callable[[str, str], bool],
-                 trace: list[TraceEvent] | None) -> None:
+                 trace: list[dict] | None) -> None:
         self.inst = inst
         self.assignment = assignment
         self.tight = tight
@@ -239,7 +237,7 @@ class _Promoter:
 
 
 def solve_two_cost(inst: Instance, check_invariants: bool = False,
-                   trace: list[TraceEvent] | None = None
+                   trace: list[dict] | None = None
                    ) -> tuple[AugmentedSolution, DualState]:
     """Exact-ratio primal-dual run; also returns the dual certificate.
 
@@ -370,7 +368,7 @@ def _candidate_programs(inst: Instance, lhs: dict, thresh: dict,
 
 
 def _uniform_cost(inst: Instance, distinct: list[int],
-                  trace: list[TraceEvent] | None
+                  trace: list[dict] | None
                   ) -> tuple[AugmentedSolution, DualState]:
     """Zero or one distinct cost: every A-perfect matching costs the same,
     so give each agent its top choice (trivially envy-free)."""
@@ -384,7 +382,7 @@ def _uniform_cost(inst: Instance, distinct: list[int],
 
 
 def _finish(inst: Instance, dual: DualState, matching: Matching,
-            trace: list[TraceEvent] | None
+            trace: list[dict] | None
             ) -> tuple[AugmentedSolution, DualState]:
     """Terminal guarantees, always enforced: feasible dual, tight matched
     edges, and the list-length cost certificate.  Every edge is recomputed
@@ -421,17 +419,12 @@ def _audit(inst: Instance, dual: DualState, lhs: dict,
     if fresh_thresh != thresh:
         drift = sorted(p for p in inst.programs if fresh_thresh[p] != thresh[p])
         raise AssertionError(f"threshold cursor drift on {drift[:3]}")
-    arank = inst.agent_rank
-    prank = inst.program_rank
-    for a, p in assignment.items():
-        for b, pb in assignment.items():
-            if a == b:
-                continue
-            if arank[a].get(pb, NO_RANK) < arank[a][p] and \
-                    prank[pb][a] < prank[pb][b]:
-                raise AssertionError(f"envy: {a!r} envies {b!r} at {pb!r}")
+    # unmatched agents may rank above an occupant until they are placed
+    for a, b, p in _scan_blocking(inst, Matching(assignment), inst.quota).envy_pairs:
+        if a in assignment:
+            raise AssertionError(f"envy: {a!r} envies {b!r} at {p!r}")
 
 
-def _emit(trace: list[TraceEvent] | None, event: TraceEvent) -> None:
+def _emit(trace: list[dict] | None, event: dict) -> None:
     if trace is not None:
         trace.append(event)

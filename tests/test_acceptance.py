@@ -26,7 +26,7 @@ from capmatch.generators import (
     random_instance,
 )
 from capmatch.minmax import candidate_costs, feasible_at, solve_minmax
-from capmatch.minsum import PROMOTE, lp_approx_run, solve_lp_approx, solve_p_approx
+from capmatch.minsum import PROMOTE, lp_approx_run, solve_p_approx
 from capmatch.oracle import OracleLimits, brute_force_minmax, brute_force_minsum
 from capmatch.stability import (
     AGENT_PROPOSING,
@@ -137,7 +137,7 @@ def test_acceptance_3_approximation_bounds(announce):
         # (a) longest-program-list ratio; provable when no seats pre-exist
         for inst in _zero_quota_instances(1301):
             opt = brute_force_minsum(inst).total_cost
-            sol = solve_lp_approx(inst)
+            sol = lp_approx_run(inst).solution
             assert sol.a_perfect
             ok, _ = is_stable_augmented(inst, sol.matching)
             assert ok
@@ -159,7 +159,7 @@ def test_acceptance_3_approximation_bounds(announce):
 
 def test_acceptance_4_fixture_ratios(binary_cost, cascade, announce):
     with reported(announce, "4 fixture ratios"):
-        assert solve_lp_approx(cascade).total_cost == 12
+        assert lp_approx_run(cascade).solution.total_cost == 12
         assert brute_force_minsum(cascade).total_cost == 10
         psum = solve_p_approx(cascade)
         minmax = solve_minmax(cascade)
@@ -198,7 +198,7 @@ def test_acceptance_5_invariant_suites(announce):
 
             # (f) grid feasibility is monotone
             feasible_seen = False
-            for t in candidate_costs(inst).values:
+            for t in candidate_costs(inst):
                 ok = feasible_at(inst, t)
                 assert ok or not feasible_seen
                 feasible_seen = feasible_seen or ok
@@ -267,7 +267,7 @@ def test_smoke_benchmark_ten_thousand_edges(announce):
         assert minmax_time < 5.0
 
         start = time.perf_counter()
-        lp = solve_lp_approx(inst)
+        lp = lp_approx_run(inst).solution
         lp_time = time.perf_counter() - start
         assert lp.a_perfect and lp.stable
         assert lp_time < 5.0

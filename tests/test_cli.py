@@ -160,10 +160,9 @@ def test_solve_rejects_non_ascii_quota(tmp_path, capsys):
     assert capsys.readouterr().err == "error: line 2: 'q=\u0663' is not an integer\n"
 
 
-def test_solve_oracle_workers(instance_file, capsys):
+def test_solve_oracle_minsum(instance_file, capsys):
     path = instance_file(CASCADE_TEXT)
-    assert main(["solve", "--alg", "oracle-minsum", "--in", path,
-                 "--workers", "2"]) == 0
+    assert main(["solve", "--alg", "oracle-minsum", "--in", path]) == 0
     assert json.loads(capsys.readouterr().out)["total_cost"] == 10
 
 

@@ -214,6 +214,22 @@ def test_read_set_cover_errors(bad):
         read_set_cover(bad)
 
 
+@pytest.mark.parametrize("read,bad,message", [
+    (read_set_cover, "# only comments\n\n", "empty set-cover input"),
+    (read_set_cover, "\n2\n1\n", "line 2: expected 'n k'"),
+    (read_set_cover, "# n k\nx 2\n", "line 2: expected integers"),
+    (read_set_cover, "2 1\n\none two\n", "line 3: non-integer element"),
+    (read_graph, "  \n", "empty graph input"),
+    (read_graph, "# n\nthree\n", "line 2: expected vertex count"),
+    (read_graph, "3\n# edges\n1 2 3\n", "line 3: expected 'u v'"),
+    (read_graph, "3\n1 2\na b\n", "line 3: non-integer vertex"),
+])
+def test_reader_messages(read, bad, message):
+    with pytest.raises(ParseError) as caught:
+        read(bad)
+    assert str(caught.value) == message
+
+
 def test_read_graph():
     n, edges = read_graph("3\n1 2\n2 3\n")
     assert n == 3

@@ -13,22 +13,22 @@ from conftest import small_instances
 
 def test_candidate_grid_binary_cost(binary_cost):
     # p1 and p3 can add up to 2 seats at cost 1 each, p2 up to 3
-    assert candidate_costs(binary_cost).values == (0, 1, 2, 3)
+    assert candidate_costs(binary_cost) == (0, 1, 2, 3)
 
 
 def test_candidate_grid_cascade(cascade):
-    assert candidate_costs(cascade).values == (0, 1, 2, 3, 4, 6, 11, 12)
+    assert candidate_costs(cascade) == (0, 1, 2, 3, 4, 6, 11, 12)
 
 
 def test_candidate_grid_contested(contested_seat):
     # p1: cost 3, one seat of head-room; p2: cost 1, one seat
-    assert candidate_costs(contested_seat).values == (0, 1, 3)
+    assert candidate_costs(contested_seat) == (0, 1, 3)
 
 
 def test_candidate_grid_all_free():
     inst = Instance(("a1",), ("p1",), {"a1": ("p1",)}, {"p1": ("a1",)},
                     {"p1": 0}, {"p1": 0})
-    assert candidate_costs(inst).values == (0,)
+    assert candidate_costs(inst) == (0,)
 
 
 def test_budget_quotas_contested(contested_seat):
@@ -102,7 +102,7 @@ def test_solve_minmax_contested(contested_seat):
 
 
 def _linear_scan_optimum(inst):
-    for t in candidate_costs(inst).values:
+    for t in candidate_costs(inst):
         if feasible_at(inst, t):
             return t
     raise AssertionError("grid must contain a feasible value")
@@ -122,7 +122,7 @@ def test_binary_search_matches_linear_scan(inst):
 @given(small_instances())
 def test_feasibility_monotone_on_grid(inst):
     seen_feasible = False
-    for t in candidate_costs(inst).values:
+    for t in candidate_costs(inst):
         ok = feasible_at(inst, t)
         if seen_feasible:
             assert ok

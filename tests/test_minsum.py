@@ -16,7 +16,6 @@ from capmatch.minsum import (
     PromotionStep,
     classify_programs,
     lp_approx_run,
-    solve_lp_approx,
     solve_p_approx,
 )
 from capmatch.oracle import brute_force_minsum
@@ -74,7 +73,7 @@ def test_lp_cascade_interim_bound(cascade):
 
 
 def test_lp_binary_cost(binary_cost):
-    sol = solve_lp_approx(binary_cost)
+    sol = lp_approx_run(binary_cost).solution
     assert sol.total_cost == 2
     assert sol.a_perfect and sol.stable
 
@@ -111,7 +110,7 @@ def test_lp_can_overpay_when_seats_preexist():
         "program p1 q=1 c=5 : b a\n"
         "program p2 q=0 c=0 : b\n"
     )
-    sol = solve_lp_approx(inst)
+    sol = lp_approx_run(inst).solution
     assert sol.total_cost == 5
     assert sol.a_perfect and sol.stable
     assert brute_force_minsum(inst).total_cost == 0
@@ -159,7 +158,7 @@ def test_lp_ratio_on_fresh_seat_instances():
     # what makes the longest-program-list ratio hold
     for inst in _random_cases(120, 77, (0,)):
         opt = brute_force_minsum(inst).total_cost
-        lp = solve_lp_approx(inst).total_cost
+        lp = lp_approx_run(inst).solution.total_cost
         assert lp <= metrics(inst).max_program_list * opt
 
 

@@ -132,9 +132,9 @@ def test_least_cost_program_empty_list():
 
 def test_matching_views(binary_cost):
     m = Matching({"a1": "p1", "a3": "p1"})
-    assert m.program_of("a1") == "p1"
-    assert m.program_of("a2") is None
-    assert set(m.agents_of("p1")) == {"a1", "a3"}
+    assert m.assignment.get("a1") == "p1"
+    assert m.assignment.get("a2") is None
+    assert set(m.roster.get("p1", ())) == {"a1", "a3"}
     assert m.load("p1") == 2
     assert m.load("p2") == 0
     assert not m.is_a_perfect(binary_cost)

@@ -95,22 +95,3 @@ def test_empty_instance():
     assert sol.matching.assignment == {}
     assert sol.total_cost == 0
     assert sol.a_perfect and sol.stable
-
-
-def test_workers_agree_with_serial(cascade):
-    serial = brute_force_minsum(cascade)
-    parallel = brute_force_minsum(cascade, workers=2)
-    assert parallel.matching.assignment == serial.matching.assignment
-    assert parallel.total_cost == serial.total_cost
-    serial_max = brute_force_minmax(cascade)
-    parallel_max = brute_force_minmax(cascade, workers=3)
-    assert parallel_max.matching.assignment == serial_max.matching.assignment
-
-
-def test_workers_agree_on_random_instances():
-    rng = random.Random(555)
-    for _ in range(5):
-        inst = random_instance(4, 4, 3, (0, 1), (0, 1, 5),
-                               seed=rng.randrange(10**6))
-        assert brute_force_minsum(inst, workers=2).matching.assignment == \
-            brute_force_minsum(inst).matching.assignment

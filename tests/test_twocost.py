@@ -6,11 +6,12 @@ import random
 
 import pytest
 
-from capmatch import Matching, NotAnEdge, PreconditionViolated, metrics
+from capmatch import Instance, Matching, NotAnEdge, PreconditionViolated, metrics
 from capmatch.generators import random_instance
 from capmatch.oracle import brute_force_minsum
 from capmatch.twocost import (
     DualState,
+    _audit,
     check_dual_feasible,
     compute_thresholds,
     edge_lhs,
@@ -199,3 +200,21 @@ def test_random_runs_keep_all_promises():
         opt = brute_force_minsum(inst).total_cost
         assert check.objective <= opt          # weak duality
         assert solution.total_cost <= longest * opt
+
+
+def test_audit_flags_envy_between_matched_agents_only():
+    # p1 ranks a3 over a1 over a2; a1 would rather be at p1 than at p2
+    inst = Instance(("a1", "a2", "a3"), ("p1", "p2"),
+                    {"a1": ("p1", "p2"), "a2": ("p1",), "a3": ("p1",)},
+                    {"p1": ("a3", "a1", "a2"), "p2": ("a1",)},
+                    {"p1": 0, "p2": 0}, {"p1": 1, "p2": 2})
+    dual = _zero_dual(inst)
+    lhs = {(a, p): 0 for a in inst.agents for p in inst.agent_prefs[a]}
+
+    def audit(assignment):
+        _audit(inst, dual, lhs, assignment,
+               compute_thresholds(inst, Matching(assignment)))
+
+    audit({"a2": "p1"})  # unmatched a1 and a3 outrank a2: not envy yet
+    with pytest.raises(AssertionError, match="^envy: 'a1' envies 'a2' at 'p1'$"):
+        audit({"a1": "p2", "a2": "p1"})
