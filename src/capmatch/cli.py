@@ -152,7 +152,7 @@ def run_solve(args: argparse.Namespace) -> int:
 
 def _render(doc: dict, fmt: str) -> str:
     if fmt == "json":
-        return _indented_json(doc)
+        return _indented_json(doc) + "\n"
     lines = []
     for a, p in doc["matching"].items():
         lines.append(f"matching {a} {p}")
@@ -168,21 +168,24 @@ def _render(doc: dict, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _indented_json(doc: dict) -> str:
-    """``json.dumps(doc, indent=2) + "\\n"`` for a solution document, whose
-    values are scalars or flat dicts of scalars.
-
-    ``json`` uses its C encoder only without ``indent``; with the separator
-    below it writes a flat dict's items one per line, indented for depth 2,
-    so only the braces of each nested dict are laid out here."""
-    fields = []
-    for key, value in doc.items():
-        if isinstance(value, dict) and value:
-            items = json.dumps(value, separators=(",\n    ", ": "))[1:-1]
-            fields.append(f"{json.dumps(key)}: {{\n    {items}\n  }}")
-        else:
-            fields.append(f"{json.dumps(key)}: {json.dumps(value)}")
-    return "{\n  " + ",\n  ".join(fields) + "\n}\n"
+def _indented_json(value, depth: int = 0) -> str:
+    r"""``json.dumps(value, indent=2)`` through the C encoder, which ``indent``
+    bypasses, for dicts and lists whose lists hold only non-empty dicts of
+    scalars.  A raw NUL separator in the encoder's output is never inside a
+    string, which escapes NUL; in ``}\0{`` it parts two list rows."""
+    pad = "\n" + "  " * (depth + 1)
+    if not value or not isinstance(value, (dict, list)):
+        return json.dumps(value)
+    if isinstance(value, list):
+        rows = json.dumps(value, separators=("\0", ": "))[2:-2]
+        rows = rows.replace("}\0{", f"{pad}}},{pad}{{{pad}  ").replace("\0", f",{pad}  ")
+        return f"[{pad}{{{pad}  {rows}{pad}}}{pad[:-2]}]"
+    if {dict, list} & set(map(type, value.values())):
+        body = f",{pad}".join(f"{json.dumps(k)}: {_indented_json(v, depth + 1)}"
+                              for k, v in value.items())
+    else:
+        body = json.dumps(value, separators=("," + pad, ": "))[1:-1]
+    return "{" + pad + body + pad[:-2] + "}"
 
 
 def run_verify(args: argparse.Namespace) -> int:
@@ -194,15 +197,15 @@ def run_verify(args: argparse.Namespace) -> int:
     matching_ok = True
     for a, p in doc["matching"].items():
         if a not in inst.agent_prefs:
-            violations.append({"kind": "matching", "detail": f"unknown agent {a!r}"})
-            matching_ok = False
+            detail = f"unknown agent {a!r}"
         elif p not in inst.program_prefs:
-            violations.append({"kind": "matching", "detail": f"unknown program {p!r}"})
-            matching_ok = False
+            detail = f"unknown program {p!r}"
         elif not inst.is_edge(a, p):
-            violations.append({"kind": "matching",
-                               "detail": f"({a!r}, {p!r}) is not an edge"})
-            matching_ok = False
+            detail = f"({a!r}, {p!r}) is not an edge"
+        else:
+            continue
+        violations.append({"kind": "matching", "detail": detail})
+        matching_ok = False
 
     for p, v in doc["augmentation"].items():
         if p not in inst.program_prefs:
@@ -249,7 +252,7 @@ def run_verify(args: argparse.Namespace) -> int:
     out: dict = {"valid": not violations, "violations": violations}
     if blocking is not None:
         out["blocking"] = blocking
-    print(json.dumps(out, indent=2))
+    print(_indented_json(out))
     return 0 if not violations else 1
 
 

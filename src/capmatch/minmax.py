@@ -5,14 +5,18 @@ k at most the number of seats p could ever usefully gain, so the optimum lies
 on a grid of at most edge-count + 1 values.  Feasibility of a budget t --
 "does deferred acceptance fill every agent once each program may spend up to
 t on extra seats?" -- is monotone in t, and the largest grid value is always
-feasible, so a binary search over the grid is exact.
+feasible: every program can seat its whole list there.  So one resumed
+deferred acceptance sweeps the grid downward, taking at each step one seat
+from each program whose affordable quota falls there.  The first agent to run
+off its list shows the lower budget infeasible; that step is undone, and a
+from-scratch :func:`feasible_at` one grid value lower certifies minimality.
 """
 
 from __future__ import annotations
 
 from .errors import InvariantBroken
-from .model import AugmentedSolution, Instance, require_all_matchable
-from .stability import build_solution, gale_shapley
+from .model import AugmentedSolution, Instance, Matching, require_all_matchable
+from .stability import AgentProposals, build_solution, gale_shapley
 
 
 def candidate_costs(inst: Instance) -> tuple[int, ...]:
@@ -50,19 +54,30 @@ def feasible_at(inst: Instance, t: int) -> bool:
 
 
 def solve_minmax(inst: Instance) -> AugmentedSolution:
-    """Smallest feasible budget via binary search; augmentation is trimmed
-    to the seats the final matching actually uses."""
+    """Smallest feasible budget via the downward sweep; augmentation is
+    trimmed to the seats the final matching actually uses."""
     require_all_matchable(inst)
     values = candidate_costs(inst)
-    lo, hi = 0, len(values) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if feasible_at(inst, values[mid]):
-            hi = mid
-        else:
-            lo = mid + 1
-    best = values[lo]
-    matching = gale_shapley(inst, budget_quotas(inst, best))
+    # drops[i]: programs whose k-th extra seat costs c*k = values[i]
+    index = {v: i for i, v in enumerate(values)}
+    drops: list[list[str]] = [[] for _ in values]
+    for p in inst.programs:
+        c = inst.cost[p]
+        if c:
+            for k in range(1, len(inst.program_prefs[p]) - inst.quota[p] + 1):
+                drops[index[c * k]].append(p)
+    state = AgentProposals(inst, budget_quotas(inst, values[-1]))
+    best = len(values) - 1
+    while best:
+        moved: list[tuple[str, int]] = []
+        if not all(state.drop_seat(p, moved) for p in drops[best]):
+            for a, k in reversed(moved):  # undo the infeasible step
+                state.pos[a] = k
+            break
+        best -= 1
+    matching = Matching(state.assignment())
     if not matching.is_a_perfect(inst):
         raise InvariantBroken("no grid budget is feasible; instance invariant broken")
+    if best and feasible_at(inst, values[best - 1]):
+        raise InvariantBroken(f"sweep missed feasible budget {values[best - 1]}")
     return build_solution(inst, matching, "minmax")

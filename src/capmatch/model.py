@@ -117,19 +117,16 @@ class Instance:
                 and all(map(_is_count, self.quota.values()))
                 and all(map(_is_count, self.cost.values()))):
             return False
-        # Mutuality, read off the agent rank table that every solver builds
-        # anyway: both sides hold the same number of entries, no program list
-        # repeats one, and each is in its agent's rank dict.  The program-side
-        # edges are then as many as the agent-side entries and a subset of the
-        # agent-side edges, so the two edge sets are equal, no agent list
-        # repeats an entry, and every listed name is declared.
-        program_lists = self.program_prefs.values()
-        edges = sum(map(len, self.agent_prefs.values()))
-        rank = self.agent_rank
-        return (sum(map(len, program_lists)) == edges
-                and sum(map(len, map(set, program_lists))) == edges
-                and all(p in rank.get(a, ())
-                        for p, prefs in self.program_prefs.items() for a in prefs))
+        # Mutuality, off the program rank table that deferred acceptance builds
+        # anyway: equal entry counts, no repeat in an agent list and each entry
+        # in its program's rank dict make the edge sets equal, all declared.
+        agent_lists = self.agent_prefs.values()
+        edges = sum(map(len, self.program_prefs.values()))
+        rank = self.program_rank
+        return (sum(map(len, agent_lists)) == edges
+                and sum(map(len, map(set, agent_lists))) == edges
+                and all(a in rank.get(p, ())
+                        for a, prefs in self.agent_prefs.items() for p in prefs))
 
     def _raise_first_error(self) -> None:
         for name in list(self.agents) + list(self.programs):

@@ -67,7 +67,8 @@ def gale_shapley(inst: Instance, quotas: dict[str, int],
     Proposers start in declaration order; a displaced proposer re-enters at
     the head of the queue.  Both orientations produce a stable matching with
     respect to ``quotas``, and by the rural-hospitals property they match the
-    same set of agents.
+    same set of agents.  Agent-proposing runs keep each full program's
+    occupants in a heap (see :class:`AgentProposals`).
     """
     for p in inst.programs:
         if p not in quotas:
@@ -75,48 +76,82 @@ def gale_shapley(inst: Instance, quotas: dict[str, int],
         if quotas[p] < 0:
             raise ValidationError(f"negative quota for {p!r}")
     if side == AGENT_PROPOSING:
-        assignment = _agent_proposing(inst, quotas)
-    elif side == PROGRAM_PROPOSING:
-        assignment = _program_proposing(inst, quotas)
-    else:
+        return Matching(AgentProposals(inst, quotas).assignment())
+    if side != PROGRAM_PROPOSING:
         raise ValueError(f"unknown side {side!r}")
+    assignment = _program_proposing(inst, quotas)
     return Matching({a: assignment[a] for a in inst.agents if a in assignment})
 
 
-def _agent_proposing(inst: Instance, quotas: dict[str, int]) -> dict[str, str]:
-    arank = inst.agent_rank
-    prank = inst.program_rank
-    match: dict[str, str] = {}
-    roster: dict[str, list[str]] = {p: [] for p in inst.programs}
-    # Only a displaced agent resumes mid-list: just past the program it lost.
-    resume: dict[str, int] = {}
-    queue = deque(inst.agents)
-    while queue:
-        a = queue.popleft()
-        prefs = inst.agent_prefs[a]
-        if a in resume:
-            prefs = prefs[resume.pop(a):]
-        for p in prefs:
+class AgentProposals:
+    """Agent-proposing deferred acceptance, resumable after a quota drops:
+    the result does not depend on the order of proposals (McVitie & Wilson,
+    1971).  ``pos[a]`` is the position of a's program on its list, or the
+    list's length once a ran off it.  A roster is a list while it has a free
+    seat, then a max-heap of (-rank, agent) (Gusfield & Irving, 1989)."""
+
+    def __init__(self, inst: Instance, quotas: dict[str, int]) -> None:
+        self.agent_prefs = inst.agent_prefs
+        self.program_rank = inst.program_rank
+        self.quotas = dict(quotas)
+        self.roster: dict[str, list] = {p: [] for p in inst.programs}
+        self.pos = dict.fromkeys(inst.agents, 0)
+        for a in inst.agents:
+            self.propose(a, 0)
+
+    def propose(self, a: str, k: int,
+                moved: list[tuple[str, int]] | None = None) -> bool:
+        """``a`` proposes from position ``k`` on, and each agent it displaces
+        from just past the program it lost; False when one runs off its list.
+        ``moved`` (if given) logs each displaced agent's previous position."""
+        agent_prefs, prank = self.agent_prefs, self.program_rank
+        quotas, roster, pos = self.quotas, self.roster, self.pos
+        prefs = agent_prefs[a]
+        while k < len(prefs):
+            p = prefs[k]
             cap = quotas[p]
-            if cap == 0:
-                continue
-            held = roster[p]
-            if len(held) < cap:
-                held.append(a)
-                match[a] = p
-                break
-            ranks = prank[p]
-            worst = max(held, key=ranks.__getitem__)
-            if ranks[a] < ranks[worst]:
-                held.remove(worst)
-                held.append(a)
-                del match[worst]
-                match[a] = p
-                resume[worst] = arank[worst][p] + 1
-                queue.appendleft(worst)
-                break
-        # list exhausted: a stays unmatched
-    return match
+            if cap:
+                held = roster[p]
+                if len(held) < cap:
+                    held.append(a)
+                    if len(held) == cap:
+                        roster[p] = _occupant_heap(held, prank[p])
+                    pos[a] = k
+                    return True
+                rank = prank[p][a]
+                if rank < -held[0][0]:
+                    pos[a] = k
+                    a = heapq.heapreplace(held, (-rank, a))[1]
+                    if moved is not None:
+                        moved.append((a, pos[a]))
+                    prefs = agent_prefs[a]
+                    k = pos[a]
+            k += 1
+        pos[a] = k
+        return False
+
+    def drop_seat(self, p: str, moved: list[tuple[str, int]]) -> bool:
+        """Take a seat from ``p``; a full p's worst occupant proposes on."""
+        cap = self.quotas[p] = self.quotas[p] - 1
+        held = self.roster[p]
+        if len(held) == cap:  # had one free seat: now full
+            self.roster[p] = _occupant_heap(held, self.program_rank[p])
+        elif len(held) > cap:
+            a = heapq.heappop(held)[1]
+            moved.append((a, self.pos[a]))
+            return self.propose(a, self.pos[a] + 1, moved)
+        return True
+
+    def assignment(self) -> dict[str, str]:
+        """Agent -> held program for the matched agents, in declaration order."""
+        prefs = self.agent_prefs
+        return {a: prefs[a][k] for a, k in self.pos.items() if k < len(prefs[a])}
+
+
+def _occupant_heap(held: list[str], ranks: dict[str, int]) -> list[tuple[int, str]]:
+    heap = [(-ranks[a], a) for a in held]
+    heapq.heapify(heap)
+    return heap
 
 
 def _program_proposing(inst: Instance, quotas: dict[str, int]) -> dict[str, str]:
