@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 from .errors import (
@@ -194,18 +195,20 @@ def run_verify(args: argparse.Namespace) -> int:
     violations: list[dict] = []
     blocking = None
 
-    matching_ok = True
-    for a, p in doc["matching"].items():
-        if a not in inst.agent_prefs:
-            detail = f"unknown agent {a!r}"
-        elif p not in inst.program_prefs:
-            detail = f"unknown program {p!r}"
-        elif not inst.is_edge(a, p):
-            detail = f"({a!r}, {p!r}) is not an edge"
-        else:
-            continue
-        violations.append({"kind": "matching", "detail": detail})
-        matching_ok = False
+    pairs = doc["matching"]
+    # one pass clears a matching of edges; the loop only words the faults
+    matching_ok = inst.all_edges(pairs)
+    if not matching_ok:
+        for a, p in pairs.items():
+            if a not in inst.agent_prefs:
+                detail = f"unknown agent {a!r}"
+            elif p not in inst.program_prefs:
+                detail = f"unknown program {p!r}"
+            elif not inst.is_edge(a, p):
+                detail = f"({a!r}, {p!r}) is not an edge"
+            else:
+                continue
+            violations.append({"kind": "matching", "detail": detail})
 
     for p, v in doc["augmentation"].items():
         if p not in inst.program_prefs:
@@ -218,10 +221,11 @@ def run_verify(args: argparse.Namespace) -> int:
             matching_ok = False
 
     if matching_ok:
-        matching = Matching(doc["matching"])
+        matching = Matching(pairs)
         aug = doc["augmentation"]
+        load = Counter(pairs.values())
         for p in inst.programs:
-            need = max(0, matching.load(p) - inst.quota[p])
+            need = max(0, load[p] - inst.quota[p])
             if aug.get(p, 0) < need:
                 violations.append({
                     "kind": "capacity",

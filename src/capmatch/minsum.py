@@ -25,6 +25,7 @@ only ever target fallback programs.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .minmax import solve_minmax
 from .model import (
@@ -63,8 +64,7 @@ class ProgramClassification:
         object.__setattr__(self, "labels", dict(self.labels))
 
 
-@dataclass(frozen=True)
-class PromotionStep:
+class PromotionStep(NamedTuple):
     phase: str  # "promote" during the sweep, "repair" afterwards
     agent: str
     source: str | None
@@ -119,28 +119,20 @@ def lp_approx_run(inst: Instance) -> LpApproxRun:
                           classification.parking))
 
     arank = inst.agent_rank
-    prank = inst.program_rank
-    rosters: dict[str, set[str]] = {p: set() for p in inst.programs}
-    for a, p in assignment.items():
-        rosters[p].add(a)
-
     labels = classification.labels
     for p in inst.programs:
-        roster = rosters[p]
-        if not roster:
-            continue
-        ranks = prank[p]
-        worst = max(ranks[x] for x in roster)
-        # Bottom-up over p's list: anyone who envies a current occupant moves
-        # in.  Arrivals always outrank the worst occupant, so ``worst`` stays
-        # valid for the rest of the sweep.
-        for a in reversed(inst.program_prefs[p]):
-            if ranks[a] >= worst:
-                continue
+        prefs = inst.program_prefs[p]
+        # p's worst current occupant is the last agent on its list seated there
+        worst = len(prefs) - 1
+        while worst >= 0 and assignment[prefs[worst]] != p:
+            worst -= 1
+        # Bottom-up over the agents p ranks above it: anyone who envies a
+        # current occupant moves in.  Arrivals always outrank the worst
+        # occupant, so ``worst`` stays valid for the rest of the sweep.
+        for k in range(worst - 1, -1, -1):
+            a = prefs[k]
             cur = assignment[a]
             if arank[a][p] < arank[a][cur]:
-                rosters[cur].remove(a)
-                rosters[p].add(a)
                 assignment[a] = p
                 steps.append(PromotionStep(PROMOTE, a, cur, p, labels[p]))
 

@@ -20,6 +20,11 @@ Checks are split between two places.  ``parse_instance`` checks what one line
 shows and names the line: the ``:`` separator, the declaration shape, the
 identifier syntax of every token, ``q=``/``c=`` integers and their signs, a
 name declared twice, an empty agent list and a list that repeats an entry.
+A well-formed line passes all but three of them in one whole-line match per
+declaration kind; only a new name, a non-empty agent list and a list without
+repeats are left to check.  Every other line (comments, blanks, faults and
+rare forms such as ``q=-0``) goes through the per-line checks, which skip it,
+store it or word its error.
 ``Instance._validate`` runs on every instance, parsed or built directly, and
 reports without line numbers: it checks what needs the whole instance (every
 listed name is declared, the lists are mutual) and, for instances built
@@ -37,8 +42,11 @@ solver only, ``dual_objective``.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
+from operator import contains
 from typing import NamedTuple
 
 from .errors import (
@@ -50,9 +58,12 @@ from .errors import (
 )
 
 _IDENT = re.compile(r"[A-Za-z0-9_]+\Z")
-# Whitespace-separated identifiers: \s is exactly what str.split() splits on,
-# so a string matches when each token of its split() matches _IDENT.
-_LIST = re.compile(r"[\sA-Za-z0-9_]*\Z")
+# Whole declaration lines.  \s is exactly the whitespace of str.split() and
+# strip(), so a match reads the tokens the per-line checks read, all valid;
+# a count past 18 digits goes the long way, where int()'s digit limit applies.
+_AGENT_LINE = re.compile(r"\s*agent\s+([A-Za-z0-9_]+)\s*:([\sA-Za-z0-9_]*)\Z")
+_PROGRAM_LINE = re.compile(r"\s*program\s+([A-Za-z0-9_]+)\s+q=([0-9]{1,18})"
+                           r"\s+c=([0-9]{1,18})\s*:([\sA-Za-z0-9_]*)\Z")
 # Identifier characters only; with no empty name among them, the join of
 # some names matches exactly when each name matches _IDENT.
 _IDENT_CHARS = re.compile(r"[A-Za-z0-9_]*\Z")
@@ -180,7 +191,15 @@ class Instance:
                 for p, prefs in self.program_prefs.items()}
 
     def is_edge(self, agent: str, program: str) -> bool:
-        return program in self.agent_rank.get(agent, {})
+        """Whether ``(agent, program)`` is an edge; mutuality lets the program
+        side's rank table answer, so ``agent_rank`` is not built."""
+        return agent in self.program_rank.get(program, ())
+
+    def all_edges(self, pairs: dict[str, str]) -> bool:
+        """Whether every ``agent -> program`` item of ``pairs`` is an edge, in
+        one C-level pass over ``program_rank``."""
+        return all(map(contains, map(self.program_rank.get, pairs.values(),
+                                     repeat(())), pairs))
 
 
 def _is_count(value: object) -> bool:
@@ -247,7 +266,26 @@ def parse_instance(text: str) -> Instance:
     quota: dict[str, int] = {}
     cost: dict[str, int] = {}
 
+    agent_line, program_line = _AGENT_LINE.match, _PROGRAM_LINE.match
     for lineno, raw in enumerate(text.splitlines(), 1):
+        # A whole-line match stores the line when the checks it cannot make
+        # pass as well; otherwise the per-line checks below take over.
+        match = agent_line(raw)
+        if match:
+            name, tail = match.groups()
+            prefs = tuple(tail.split())
+            if prefs and name not in agent_prefs and len(set(prefs)) == len(prefs):
+                agent_prefs[name] = prefs
+                continue
+        else:
+            match = program_line(raw)
+            if match:
+                name, q, c, tail = match.groups()
+                prefs = tuple(tail.split())
+                if name not in program_prefs and len(set(prefs)) == len(prefs):
+                    program_prefs[name] = prefs
+                    quota[name], cost[name] = int(q), int(c)
+                    continue
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -289,11 +327,8 @@ def parse_instance(text: str) -> Instance:
                 raise ValidationError(f"line {lineno}: negative cost for {name!r}")
             quota[name] = q
             cost[name] = c
-        # One match clears every token of the list; only a list that fails
-        # it is walked token by token, to name the first bad one.
-        if not _LIST.match(tail):
-            for token in items:
-                _check_ident(token, lineno)
+        for token in items:
+            _check_ident(token, lineno)
         prefs = tuple(items)
         if len(set(prefs)) != len(prefs):
             raise ValidationError(f"line {lineno}: duplicate entry in preference list")
@@ -365,10 +400,13 @@ def require_all_matchable(inst: Instance) -> None:
 
 def validate_matching(inst: Instance, matching: Matching,
                       quotas: dict[str, int] | None = None) -> None:
-    """Check assigned pairs are edges and, when quotas are given, capacities."""
-    for a, p in matching.assignment.items():
-        if not inst.is_edge(a, p):
-            raise InvalidMatching(f"pair ({a!r}, {p!r}) is not an edge")
+    """Check assigned pairs are edges and, when quotas are given, capacities.
+
+    One pass checks every edge; only when it fails does a loop name the pair."""
+    if not inst.all_edges(matching.assignment):
+        for a, p in matching.assignment.items():
+            if not inst.is_edge(a, p):
+                raise InvalidMatching(f"pair ({a!r}, {p!r}) is not an edge")
     if quotas is not None:
         for p, occupants in matching.roster.items():
             if len(occupants) > quotas[p]:
@@ -384,11 +422,12 @@ def solution_cost(inst: Instance, matching: Matching) -> tuple[dict[str, int], i
     entries, total_cost is the cost-weighted sum and max_cost the largest
     single-program spend.
     """
+    load = Counter(matching.assignment.values())
     aug: dict[str, int] = {}
     total = 0
     biggest = 0
     for p in inst.programs:
-        over = matching.load(p) - inst.quota[p]
+        over = load[p] - inst.quota[p]
         if over > 0:
             aug[p] = over
             spend = over * inst.cost[p]
