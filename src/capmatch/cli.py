@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections import Counter
 from pathlib import Path
 
 from .errors import (
@@ -35,15 +34,9 @@ from .generators import (
 )
 from .minmax import solve_minmax
 from .minsum import lp_approx_run, solve_p_approx
-from .model import (
-    Instance,
-    Matching,
-    parse_instance,
-    serialize_instance,
-    solution_to_json,
-)
+from .model import parse_instance, serialize_instance, solution_to_json
 from .oracle import OracleLimits, brute_force_minmax, brute_force_minsum
-from .stability import is_stable_augmented
+from .stability import verify_solution
 from .twocost import solve_two_cost
 
 ALGORITHMS = ("minmax", "psum", "lp", "twocost", "oracle-minsum", "oracle-minmax")
@@ -191,73 +184,9 @@ def _indented_json(value, depth: int = 0) -> str:
 
 def run_verify(args: argparse.Namespace) -> int:
     inst = parse_instance(_read(args.infile))
-    doc = _load_solution(_read(args.solution))
-    violations: list[dict] = []
-    blocking = None
-
-    pairs = doc["matching"]
-    # one pass clears a matching of edges; the loop only words the faults
-    matching_ok = inst.all_edges(pairs)
-    if not matching_ok:
-        for a, p in pairs.items():
-            if a not in inst.agent_prefs:
-                detail = f"unknown agent {a!r}"
-            elif p not in inst.program_prefs:
-                detail = f"unknown program {p!r}"
-            elif not inst.is_edge(a, p):
-                detail = f"({a!r}, {p!r}) is not an edge"
-            else:
-                continue
-            violations.append({"kind": "matching", "detail": detail})
-
-    for p, v in doc["augmentation"].items():
-        if p not in inst.program_prefs:
-            violations.append({"kind": "augmentation",
-                               "detail": f"unknown program {p!r}"})
-            matching_ok = False
-        elif v < 0:
-            violations.append({"kind": "augmentation",
-                               "detail": f"negative augmentation for {p!r}"})
-            matching_ok = False
-
-    if matching_ok:
-        matching = Matching(pairs)
-        aug = doc["augmentation"]
-        load = Counter(pairs.values())
-        for p in inst.programs:
-            need = max(0, load[p] - inst.quota[p])
-            if aug.get(p, 0) < need:
-                violations.append({
-                    "kind": "capacity",
-                    "detail": f"program {p!r} needs {need} extra seats, "
-                              f"solution grants {aug.get(p, 0)}",
-                })
-        total = sum(v * inst.cost[p] for p, v in aug.items())
-        biggest = max((v * inst.cost[p] for p, v in aug.items()), default=0)
-        if total != doc["total_cost"]:
-            violations.append({"kind": "totals",
-                               "detail": f"total_cost is {total}, "
-                                         f"solution claims {doc['total_cost']}"})
-        if biggest != doc["max_cost"]:
-            violations.append({"kind": "totals",
-                               "detail": f"max_cost is {biggest}, "
-                                         f"solution claims {doc['max_cost']}"})
-        a_perfect = matching.is_a_perfect(inst)
-        if a_perfect != doc["a_perfect"]:
-            violations.append({"kind": "flags",
-                               "detail": f"a_perfect recomputes to {a_perfect}"})
-        stable, report = is_stable_augmented(inst, matching)
-        if stable != doc["stable"]:
-            violations.append({"kind": "flags",
-                               "detail": f"stable recomputes to {stable}"})
-        if not stable:
-            blocking = report.to_json()
-
-    out: dict = {"valid": not violations, "violations": violations}
-    if blocking is not None:
-        out["blocking"] = blocking
-    print(_indented_json(out))
-    return 0 if not violations else 1
+    report = verify_solution(inst, _load_solution(_read(args.solution)))
+    print(_indented_json(report))
+    return 0 if report["valid"] else 1
 
 
 def _load_solution(text: str) -> dict:

@@ -230,9 +230,6 @@ class Matching:
             out.setdefault(p, []).append(a)
         return {p: tuple(agents) for p, agents in out.items()}
 
-    def load(self, program: str) -> int:
-        return len(self.roster.get(program, ()))
-
     def is_a_perfect(self, inst: Instance) -> bool:
         return len(self.assignment) == len(inst.agents)
 

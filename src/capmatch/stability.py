@@ -1,4 +1,5 @@
-"""Stability machinery: deferred acceptance, blocking pairs, repair to stability.
+"""Stability machinery: deferred acceptance, blocking pairs, repair to stability,
+and the recheck of a solution document (:func:`verify_solution`).
 
 A pair (a, p) of the acceptability graph blocks a matching M under quotas Q
 when a prefers p to its current assignment and either p has a free seat
@@ -16,7 +17,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import InvariantBroken, NotEnvyFree, ValidationError
+from .errors import InvalidMatching, InvariantBroken, NotEnvyFree, ValidationError
 from .model import (
     AugmentedSolution,
     Instance,
@@ -314,3 +315,66 @@ def build_solution(inst: Instance, matching: Matching, algorithm: str,
         algorithm=algorithm,
         dual_objective=dual_objective,
     )
+
+
+def verify_solution(inst: Instance, doc: dict) -> dict:
+    """Recheck a solution document (the shape :func:`solution_to_json` writes)
+    against ``inst``: the report ``capmatch verify`` prints.
+
+    The report lists violations of kind ``matching`` (unknown agent or
+    program, or a non-edge pair) and ``augmentation`` (unknown program or a
+    negative count); when there are any, capacity, totals and flags are not
+    checked.  Otherwise it lists ``capacity`` shortfalls, ``totals`` that do
+    not match the augmentation's spend, and ``flags`` that do not recompute,
+    and an unstable matching adds its ``blocking`` report."""
+    matching = Matching(doc["matching"])
+    violations: list[dict] = []
+    try:
+        stable, report = is_stable_augmented(inst, matching)
+    except InvalidMatching:
+        for a, p in matching.assignment.items():
+            if a not in inst.agent_prefs:
+                detail = f"unknown agent {a!r}"
+            elif p not in inst.program_prefs:
+                detail = f"unknown program {p!r}"
+            elif not inst.is_edge(a, p):
+                detail = f"({a!r}, {p!r}) is not an edge"
+            else:
+                continue
+            violations.append({"kind": "matching", "detail": detail})
+    aug = doc["augmentation"]
+    for p, v in aug.items():
+        if p not in inst.program_prefs:
+            detail = f"unknown program {p!r}"
+        elif v < 0:
+            detail = f"negative augmentation for {p!r}"
+        else:
+            continue
+        violations.append({"kind": "augmentation", "detail": detail})
+    if violations:
+        return {"valid": False, "violations": violations}
+
+    need = solution_cost(inst, matching)[0]
+    for p, extra in need.items():
+        if aug.get(p, 0) < extra:
+            violations.append({
+                "kind": "capacity",
+                "detail": f"program {p!r} needs {extra} extra seats, "
+                          f"solution grants {aug.get(p, 0)}",
+            })
+    spends = [v * inst.cost[p] for p, v in aug.items()]
+    for key, value in (("total_cost", sum(spends)),
+                       ("max_cost", max(spends, default=0))):
+        if value != doc[key]:
+            violations.append({"kind": "totals",
+                               "detail": f"{key} is {value}, "
+                                         f"solution claims {doc[key]}"})
+    for key, value in (("a_perfect", matching.is_a_perfect(inst)),
+                       ("stable", stable)):
+        if value != doc[key]:
+            violations.append({"kind": "flags",
+                               "detail": f"{key} recomputes to {value}"})
+    out: dict = {"valid": not violations, "violations": violations}
+    if not stable:
+        out["blocking"] = report.to_json()
+    return out

@@ -348,7 +348,7 @@ def solve_two_cost(inst: Instance, check_invariants: bool = False,
 
     matching = Matching({a: assignment[a] for a in inst.agents})
     _emit(trace, {"event": "done", "matching": dict(matching.assignment)})
-    return _finish(inst, dual, matching, trace)
+    return _finish(inst, dual, matching)
 
 
 def _candidate_programs(inst: Instance, lhs: dict, thresh: dict,
@@ -378,11 +378,10 @@ def _uniform_cost(inst: Instance, distinct: list[int],
     dual = DualState(y={a: c for a in inst.agents}, z={}, c1=c, c2=c)
     matching = Matching(assignment)
     _emit(trace, {"event": "done", "matching": dict(assignment)})
-    return _finish(inst, dual, matching, trace)
+    return _finish(inst, dual, matching)
 
 
-def _finish(inst: Instance, dual: DualState, matching: Matching,
-            trace: list[dict] | None
+def _finish(inst: Instance, dual: DualState, matching: Matching
             ) -> tuple[AugmentedSolution, DualState]:
     """Terminal guarantees, always enforced: feasible dual, tight matched
     edges, and the list-length cost certificate.  Every edge is recomputed

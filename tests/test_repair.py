@@ -27,7 +27,7 @@ def rescan_to_stable(inst, quotas, matching, steps):
     one for a free seat with an agent who would rather be there."""
     validate_matching(inst, matching)
     probe = _scan_blocking(inst, matching,
-                           {p: max(inst.quota[p], matching.load(p))
+                           {p: max(inst.quota[p], len(matching.roster.get(p, ())))
                             for p in inst.programs})
     if probe.envy_pairs:
         a, b, p = probe.envy_pairs[0]
