@@ -85,7 +85,7 @@ class LpApproxRun:
 
 def classify_programs(inst: Instance, initial: Matching) -> ProgramClassification:
     """Label programs by (held seats in ``initial``?, cheapest fallback?)."""
-    held = initial.roster
+    held = set(initial.assignment.values())
     empty = frozenset(p for p in inst.programs if p not in held)
     matched = initial.assignment
     parking = tuple(least_cost_program(inst, a) for a in inst.agents

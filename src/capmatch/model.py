@@ -33,6 +33,10 @@ quotas and costs).  The first failing check raises ``ParseError`` (malformed
 syntax) or ``ValidationError`` (a broken model rule); which check fires first
 is fixed, and ``tests/test_parse_diagnostics.py`` pins it.
 
+``parse_instance`` hands out one ``str`` per name from a parse-local dict (not
+``sys.intern``, whose table outlives the instance): dict probes then match keys
+by identity, and a 15k-agent market keeps 18k name objects, not 123k.
+
 Solutions serialize to a JSON object with fields ``matching`` (unmatched
 agents omitted), ``augmentation`` (zero entries omitted), ``total_cost``,
 ``max_cost``, ``a_perfect``, ``stable``, ``algorithm`` and, for the primal-dual
@@ -263,6 +267,7 @@ def parse_instance(text: str) -> Instance:
     quota: dict[str, int] = {}
     cost: dict[str, int] = {}
 
+    same = {}.setdefault  # first occurrence of each name -> that one object
     agent_line, program_line = _AGENT_LINE.match, _PROGRAM_LINE.match
     for lineno, raw in enumerate(text.splitlines(), 1):
         # A whole-line match stores the line when the checks it cannot make
@@ -270,16 +275,19 @@ def parse_instance(text: str) -> Instance:
         match = agent_line(raw)
         if match:
             name, tail = match.groups()
-            prefs = tuple(tail.split())
+            items = tail.split()
+            prefs = tuple(map(same, items, items))
             if prefs and name not in agent_prefs and len(set(prefs)) == len(prefs):
-                agent_prefs[name] = prefs
+                agent_prefs[same(name, name)] = prefs
                 continue
         else:
             match = program_line(raw)
             if match:
                 name, q, c, tail = match.groups()
-                prefs = tuple(tail.split())
+                items = tail.split()
+                prefs = tuple(map(same, items, items))
                 if name not in program_prefs and len(set(prefs)) == len(prefs):
+                    name = same(name, name)
                     program_prefs[name] = prefs
                     quota[name], cost[name] = int(q), int(c)
                     continue
@@ -306,7 +314,7 @@ def parse_instance(text: str) -> Instance:
             lists = program_prefs
         else:
             raise ParseError(f"line {lineno}: unknown declaration {kind!r}")
-        name = fields[1]
+        name = same(fields[1], fields[1])
         _check_ident(name, lineno)
         if name in lists:
             raise ValidationError(f"line {lineno}: duplicate {kind} {name!r}")
@@ -326,7 +334,7 @@ def parse_instance(text: str) -> Instance:
             cost[name] = c
         for token in items:
             _check_ident(token, lineno)
-        prefs = tuple(items)
+        prefs = tuple(map(same, items, items))
         if len(set(prefs)) != len(prefs):
             raise ValidationError(f"line {lineno}: duplicate entry in preference list")
         lists[name] = prefs
@@ -354,9 +362,13 @@ def _parse_kv(token: str, key: str, lineno: int) -> int:
 
 
 def serialize_instance(inst: Instance) -> str:
-    """Canonical text form: agent lines in order, then program lines in order."""
+    """Canonical text form: agent lines in order, then program lines in order;
+    an agent with an empty list has no line form (ValidationError)."""
     lines = []
     for a in inst.agents:
+        if not inst.agent_prefs[a]:
+            raise ValidationError(f"agent {a!r} has an empty preference list, "
+                                  "which the text format cannot express")
         lines.append(f"agent {a} : {' '.join(inst.agent_prefs[a])}")
     for p in inst.programs:
         head = f"program {p} q={inst.quota[p]} c={inst.cost[p]} :"
@@ -405,11 +417,10 @@ def validate_matching(inst: Instance, matching: Matching,
             if not inst.is_edge(a, p):
                 raise InvalidMatching(f"pair ({a!r}, {p!r}) is not an edge")
     if quotas is not None:
-        for p, occupants in matching.roster.items():
-            if len(occupants) > quotas[p]:
+        for p, load in Counter(matching.assignment.values()).items():
+            if load > quotas[p]:
                 raise InvalidMatching(
-                    f"program {p!r} holds {len(occupants)} agents, quota {quotas[p]}"
-                )
+                    f"program {p!r} holds {load} agents, quota {quotas[p]}")
 
 
 def solution_cost(inst: Instance, matching: Matching) -> tuple[dict[str, int], int, int]:

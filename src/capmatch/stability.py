@@ -14,8 +14,10 @@ All scans run in declaration order, so every function here is deterministic.
 from __future__ import annotations
 
 import heapq
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import ne
 
 from .errors import InvalidMatching, InvariantBroken, NotEnvyFree, ValidationError
 from .model import (
@@ -179,28 +181,36 @@ def _program_proposing(inst: Instance, quotas: dict[str, int]) -> dict[str, str]
 
 def _scan_blocking(inst: Instance, matching: Matching,
                    quotas: dict[str, int]) -> BlockingReport:
-    prank = inst.program_rank
-    assignment = matching.assignment
-    roster = matching.roster
-    load = {p: len(occupants) for p, occupants in roster.items()}
-    worst = {p: max(map(prank[p].__getitem__, occupants))
-             for p, occupants in roster.items()}
+    prank, program_prefs = inst.program_rank, inst.program_prefs
+    agents, agent_prefs = inst.agents, inst.agent_prefs
+    held = matching.assignment.get
+    load = Counter(matching.assignment.values())
+    worst: dict[str, int] = {}  # program -> rank of its worst occupant, on demand
     pairs: list[tuple[str, str, str]] = []
     envy_pairs: list[tuple[str, str, str]] = []
-    agent_prefs = inst.agent_prefs
-    for a in inst.agents:
-        cur = assignment.get(a)
+    # Agents at their first choice block with nothing, so compress skips them in C.
+    # First choices go in ``agents`` order: ``agent_prefs`` may be keyed otherwise.
+    firsts = map(next, map(iter, map(agent_prefs.__getitem__, agents)), repeat(None))
+    for a in compress(agents, map(ne, map(held, agents), firsts)):
+        cur = held(a)
         # prefs run best-first, so exactly the programs before cur can block
         for p in agent_prefs[a]:
             if p == cur:
                 break
             if load.get(p, 0) < quotas[p]:
                 pairs.append((a, p, UNDER_SUBSCRIPTION))
+            bottom = worst.get(p)
+            if bottom is None:  # rank of the last agent on p's list seated at p
+                prefs = program_prefs[p]
+                bottom = len(prefs) - 1 if p in load else -1
+                while bottom >= 0 and held(prefs[bottom]) != p:
+                    bottom -= 1
+                worst[p] = bottom
             my_rank = prank[p][a]
-            if my_rank < worst.get(p, -1):
+            if my_rank < bottom:
                 pairs.append((a, p, ENVY))
-                for b in inst.program_prefs[p][my_rank + 1:]:
-                    if assignment.get(b) == p:
+                for b in program_prefs[p][my_rank + 1:bottom + 1]:
+                    if held(b) == p:
                         envy_pairs.append((a, b, p))
     return BlockingReport(tuple(pairs), tuple(envy_pairs))
 
@@ -259,8 +269,7 @@ def envy_free_to_stable(inst: Instance, quotas: dict[str, int], matching: Matchi
     arank = inst.agent_rank
     programs = inst.programs
     assignment = dict(matching.assignment)
-    roster = matching.roster
-    load = {p: len(roster.get(p, ())) for p in programs}
+    load = Counter(matching.assignment.values())
     index = {p: i for i, p in enumerate(programs)}
     cursor = [0] * len(programs)
     # built in ascending order, so already a heap
