@@ -8,8 +8,8 @@ bookkeeping JSON to stdout).
 
 Exit codes: 0 success, 1 precondition or verification failure (or a broken
 solver invariant), 2 unreadable or malformed input, 3 oracle search-space
-limit exceeded.  Diagnostics and --trace output go to stderr; results go to
-stdout or --out.
+limit exceeded.  Diagnostics and --trace output go to stderr, the trace one
+JSON line per step as the solver takes it; results go to stdout or --out.
 """
 
 from __future__ import annotations
@@ -114,34 +114,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run_solve(args: argparse.Namespace) -> int:
     inst = parse_instance(_read(args.infile))
-    trace_events = [] if args.trace else None
+    emit = _print_event if args.trace else None
     if args.alg == "minmax":
         sol = solve_minmax(inst)
     elif args.alg == "psum":
         sol = solve_p_approx(inst)
     elif args.alg == "lp":
-        run = lp_approx_run(inst)
-        sol = run.solution
-        if trace_events is not None:
-            trace_events.extend(
-                {"step": i, "agent": s.agent, "from": s.source, "to": s.target,
-                 "class": s.target_label, "phase": s.phase}
-                for i, s in enumerate(run.steps, 1)
-            )
+        sol = lp_approx_run(inst, emit).solution
     elif args.alg == "twocost":
-        sol, _ = solve_two_cost(inst, trace=trace_events)
+        sol, _ = solve_two_cost(inst, emit)
     elif args.alg == "oracle-minsum":
         sol = brute_force_minsum(inst, OracleLimits(args.limit))
     else:
         sol = brute_force_minmax(inst, OracleLimits(args.limit))
 
-    if trace_events:
-        for event in trace_events:
-            print(json.dumps(event), file=sys.stderr)
     doc = solution_to_json(inst, sol)
     payload = _render(doc, args.format)
     _write(args.out, payload)
     return 0
+
+
+def _print_event(event: dict) -> None:
+    # sys.stderr is looked up per event, so a redirect made after startup holds
+    print(json.dumps(event), file=sys.stderr)
 
 
 def _render(doc: dict, fmt: str) -> str:

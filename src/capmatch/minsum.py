@@ -17,15 +17,16 @@ Two routes:
   cheapest-parking step never considers.
 
 The classification of programs by their role in the initial matching (held
-seats vs. empty, cheapest-fallback target or not) is what the analysis -- and
-the trace assertions in the tests -- hang off: promotions during the sweep
-only ever target fallback programs.
+seats vs. empty, cheapest-fallback target or not) is what the analysis hangs
+off: promotions during the sweep only ever target fallback programs, which
+the ``class`` field of each ``promote`` event lets a caller check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from itertools import count
+from typing import Callable
 
 from .minmax import solve_minmax
 from .model import (
@@ -64,22 +65,15 @@ class ProgramClassification:
         object.__setattr__(self, "labels", dict(self.labels))
 
 
-class PromotionStep(NamedTuple):
-    phase: str  # "promote" during the sweep, "repair" afterwards
-    agent: str
-    source: str | None
-    target: str
-    target_label: str
-
-
 @dataclass(frozen=True)
 class LpApproxRun:
-    """Everything the trace and the analysis assertions need in one place."""
+    """The answer (``solution``) and what the analysis asserts on: the
+    deferred-acceptance start, its classification and the cost the sweep
+    leaves before the repair."""
 
     solution: AugmentedSolution
     initial: Matching
     classification: ProgramClassification
-    steps: tuple[PromotionStep, ...]
     cost_before_repair: int
 
 
@@ -100,17 +94,22 @@ def classify_programs(inst: Instance, initial: Matching) -> ProgramClassificatio
     return ProgramClassification(empty, fallback, labels, parking)
 
 
-def lp_approx_run(inst: Instance) -> LpApproxRun:
-    """Full run with instrumentation; ``.solution`` is the answer."""
+def lp_approx_run(inst: Instance, emit: Callable[[dict], None] | None = None
+                  ) -> LpApproxRun:
+    """Full run with instrumentation; ``.solution`` is the answer.
+
+    ``emit`` (if given) is called once per move as it happens, with
+    ``{"step", "agent", "from", "to", "class", "phase"}``: steps count from 1
+    across both phases, ``from`` is the agent's program before the move,
+    ``class`` the label of ``to`` and ``phase`` is ``promote`` in the sweep
+    and ``repair`` afterwards."""
     require_all_matchable(inst)
     initial = gale_shapley(inst, dict(inst.quota))
     classification = classify_programs(inst, initial)
-    steps: list[PromotionStep] = []
 
     if initial.is_a_perfect(inst):
         solution = build_solution(inst, initial, "lp")
-        return LpApproxRun(solution, initial, classification, (),
-                           solution.total_cost)
+        return LpApproxRun(solution, initial, classification, solution.total_cost)
 
     # park every unmatched agent at the cheapest program classification found
     matched = initial.assignment
@@ -120,6 +119,7 @@ def lp_approx_run(inst: Instance) -> LpApproxRun:
 
     arank = inst.agent_rank
     labels = classification.labels
+    steps = count(1)
     for p in inst.programs:
         prefs = inst.program_prefs[p]
         # p's worst current occupant is the last agent on its list seated there
@@ -134,19 +134,22 @@ def lp_approx_run(inst: Instance) -> LpApproxRun:
             cur = assignment[a]
             if arank[a][p] < arank[a][cur]:
                 assignment[a] = p
-                steps.append(PromotionStep(PROMOTE, a, cur, p, labels[p]))
+                if emit is not None:
+                    emit({"step": next(steps), "agent": a, "from": cur, "to": p,
+                          "class": labels[p], "phase": PROMOTE})
 
     interim = Matching({a: assignment[a] for a in inst.agents})
     _, cost_before_repair, _ = solution_cost(inst, interim)
 
-    raw_repairs: list[tuple[str, str | None, str]] = []
-    final = envy_free_to_stable(inst, dict(inst.quota), interim, steps=raw_repairs)
-    for agent, src, dst in raw_repairs:
-        steps.append(PromotionStep(REPAIR, agent, src, dst, labels[dst]))
+    repair = None
+    if emit is not None:
+        def repair(move: dict) -> None:
+            emit({"step": next(steps), **move, "class": labels[move["to"]],
+                  "phase": REPAIR})
+    final = envy_free_to_stable(inst, dict(inst.quota), interim, repair)
 
     solution = build_solution(inst, final, "lp")
-    return LpApproxRun(solution, initial, classification, tuple(steps),
-                       cost_before_repair)
+    return LpApproxRun(solution, initial, classification, cost_before_repair)
 
 
 def solve_p_approx(inst: Instance) -> AugmentedSolution:

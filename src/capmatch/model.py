@@ -226,14 +226,6 @@ class Matching:
     def __post_init__(self) -> None:
         object.__setattr__(self, "assignment", dict(self.assignment))
 
-    @cached_property
-    def roster(self) -> dict[str, tuple[str, ...]]:
-        """Derived program -> assigned agents view (assignment insertion order)."""
-        out: dict[str, list[str]] = {}
-        for a, p in self.assignment.items():
-            out.setdefault(p, []).append(a)
-        return {p: tuple(agents) for p, agents in out.items()}
-
     def is_a_perfect(self, inst: Instance) -> bool:
         return len(self.assignment) == len(inst.agents)
 

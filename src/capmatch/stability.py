@@ -18,6 +18,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import ne
+from typing import Callable
 
 from .errors import InvalidMatching, InvariantBroken, NotEnvyFree, ValidationError
 from .model import (
@@ -237,8 +238,7 @@ def is_stable_augmented(inst: Instance,
 
 
 def envy_free_to_stable(inst: Instance, quotas: dict[str, int], matching: Matching,
-                        steps: list[tuple[str, str | None, str]] | None = None
-                        ) -> Matching:
+                        emit: Callable[[dict], None] | None = None) -> Matching:
     """Promote agents into free seats until no blocking pair remains.
 
     The input must be envy-free (NotEnvyFree otherwise); it may exceed the
@@ -247,8 +247,9 @@ def envy_free_to_stable(inst: Instance, quotas: dict[str, int], matching: Matchi
     declaration order that has a free seat and an agent who would rather be
     there, and promotes the agent that program most prefers among those.
     Promotions preserve envy-freeness and every move strictly improves the
-    moved agent, so the loop runs at most once per edge.  ``steps`` (if
-    given) collects (agent, old program or None, new program) tuples.
+    moved agent, so the loop runs at most once per edge.  ``emit`` (if given)
+    is called with ``{"agent", "from", "to"}`` as each move happens, ``from``
+    being None for an agent that was unmatched.
 
     The moves are found from a worklist rather than by rescanning every
     program after each move: a min-heap holds the declaration indices of
@@ -298,8 +299,8 @@ def envy_free_to_stable(inst: Instance, quotas: dict[str, int], matching: Matchi
                 heapq.heappush(free, index[cur])
         load[p] += 1
         assignment[a] = p
-        if steps is not None:
-            steps.append((a, cur, p))
+        if emit is not None:
+            emit({"agent": a, "from": cur, "to": p})
         moves += 1
         if moves > edge_budget:
             raise InvariantBroken("promotion loop exceeded the edge budget")

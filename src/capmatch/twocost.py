@@ -21,9 +21,7 @@ optimum.
 Bookkeeping is incremental: a step costs work proportional to what it
 changes.  Edge left-hand sides are cached, thresholds are cursors and free
 promotions come off a heap (``_Promoter``); the terminal check recomputes
-every edge from the dual alone in one pass over ``z``.  ``edge_lhs`` and
-``compute_thresholds`` are the from-scratch oracles that
-``check_invariants=True`` compares the caches with after every step.
+every edge from the dual alone in one pass over ``z``.
 
 With fewer than two distinct costs every A-perfect matching costs the same,
 so the solver just hands each agent its first choice.
@@ -35,7 +33,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from .errors import InvariantBroken, NotAnEdge, PreconditionViolated
+from .errors import InvariantBroken, PreconditionViolated
 from .model import (
     NO_RANK,
     AugmentedSolution,
@@ -44,7 +42,7 @@ from .model import (
     metrics,
     require_all_matchable,
 )
-from .stability import _scan_blocking, build_solution
+from .stability import build_solution
 
 
 @dataclass
@@ -68,25 +66,6 @@ class DualCheck(NamedTuple):
     lhs: list[int]  # every edge's left-hand side, in ``_edges`` order
 
 
-def edge_lhs(inst: Instance, dual: DualState, agent: str, program: str) -> int:
-    """Left-hand side of the dual constraint for one edge, from scratch."""
-    if not inst.is_edge(agent, program):
-        raise NotAnEdge(f"({agent!r}, {program!r}) is not an edge")
-    arank = inst.agent_rank[agent]
-    my_rank = arank[program]
-    total = dual.y[agent]
-    for (high, prog, low), val in dual.z.items():
-        if not val:
-            continue
-        if high == agent:
-            r = arank.get(prog)
-            if r is not None and r >= my_rank:  # prog is program itself or worse
-                total += val
-        elif low == agent and prog == program:
-            total -= val
-    return total
-
-
 def check_dual_feasible(inst: Instance, dual: DualState) -> DualCheck:
     """Recompute every edge constraint; deterministic violation order."""
     lhs = _lhs_values(inst, dual)
@@ -103,8 +82,9 @@ def _edges(inst: Instance):
 
 
 def _lhs_values(inst: Instance, dual: DualState) -> list[int]:
-    """``edge_lhs`` of every edge in ``_edges`` order, from one agent-indexed
-    pass over ``z``: O(edges + |z| * longest list) instead of O(edges * |z|)."""
+    """The dual constraint's left-hand side of every edge in ``_edges`` order,
+    from one agent-indexed pass over ``z``: O(edges + |z| * longest list)
+    rather than one pass over ``z`` per edge."""
     arank = inst.agent_rank
     out: list[int] = []
     first: dict[str, int] = {}  # agent -> index of its top edge in ``out``
@@ -120,37 +100,6 @@ def _lhs_values(inst: Instance, dual: DualState) -> list[int]:
         if r is not None and low != high:
             out[first[low] + r] -= val
     return out
-
-
-def compute_thresholds(inst: Instance, matching: Matching) -> dict[str, str | None]:
-    """Per program: the most preferred agent that would rather be there."""
-    arank = inst.agent_rank
-    assignment = matching.assignment
-    out: dict[str, str | None] = {}
-    for p in inst.programs:
-        pick = None
-        for a in inst.program_prefs[p]:
-            cur = assignment.get(a)
-            if cur is None or arank[a][p] < arank[a][cur]:
-                pick = a
-                break
-        out[p] = pick
-    return out
-
-
-def free_promotions(inst: Instance, dual: DualState, matching: Matching) -> Matching:
-    """Exhaust matchable edges (tight + threshold agrees), deterministically.
-
-    The input must be envy-free; the result does not depend on application
-    order, but the implementation fixes one anyway: the first agent in
-    declaration order that has a matchable edge moves along its most
-    preferred one, with thresholds kept as cursors (see ``_Promoter``).
-    """
-    assignment = dict(matching.assignment)
-    tight = {edge for edge, v in zip(_edges(inst), _lhs_values(inst, dual))
-             if v == inst.cost[edge[1]]}
-    _Promoter(inst, assignment, lambda a, p: (a, p) in tight, None).run()
-    return Matching({a: assignment[a] for a in inst.agents if a in assignment})
 
 
 class _Promoter:
@@ -172,11 +121,11 @@ class _Promoter:
 
     def __init__(self, inst: Instance, assignment: dict[str, str],
                  tight: Callable[[str, str], bool],
-                 trace: list[dict] | None) -> None:
+                 emit: Callable[[dict], None] | None) -> None:
         self.inst = inst
         self.assignment = assignment
         self.tight = tight
-        self.trace = trace
+        self.emit = emit
         self.edge_budget = metrics(inst).edges + 1
         self.index = {a: i for i, a in enumerate(inst.agents)}
         self.heap: list[int] = []
@@ -229,22 +178,31 @@ class _Promoter:
             if p is None:
                 continue
             old = self.move(a, p)
-            _emit(self.trace, {"event": "free_promote", "agent": a,
-                               "source": old, "target": p})
+            if self.emit is not None:
+                self.emit({"event": "free_promote", "agent": a,
+                           "source": old, "target": p})
             moves += 1
             if moves > self.edge_budget:
                 raise InvariantBroken("free promotions exceeded the edge budget")
 
 
-def solve_two_cost(inst: Instance, check_invariants: bool = False,
-                   trace: list[dict] | None = None
+def solve_two_cost(inst: Instance, emit: Callable[[dict], None] | None = None
                    ) -> tuple[AugmentedSolution, DualState]:
     """Exact-ratio primal-dual run; also returns the dual certificate.
 
     Preconditions: all quotas zero and at most two distinct seat costs
     (PreconditionViolated otherwise), every agent matchable.  On return the
     dual is feasible, every matched edge is tight, and
-    ``total_cost <= max_agent_list * dual_objective``.
+    ``total_cost <= max_agent_list * dual_objective``.  The step budget of
+    ``8 * (E + 1) * (A + 1) + 64`` for E edges and A agents counts ``y`` and
+    ``z`` raises, each of which is one ``y_update`` or ``z_update`` event.
+
+    ``emit`` (if given) is called with one dict per step as it happens, keyed
+    by ``"event"``: ``init`` (the cheap-cost matching), ``thresholds``,
+    ``select`` (the agent whose ``y`` rises next), ``y_update`` and
+    ``z_update`` (the raised value and the raised agent's tight programs),
+    ``candidates``, ``promote``, ``free_promote`` and ``done`` (the final
+    matching, before the terminal checks run).
     """
     require_all_matchable(inst)
     for p in inst.programs:
@@ -256,7 +214,7 @@ def solve_two_cost(inst: Instance, check_invariants: bool = False,
             f"two-cost solver requires at most two distinct costs, got {distinct}"
         )
     if len(distinct) < 2:
-        return _uniform_cost(inst, distinct, trace)
+        return _uniform_cost(inst, distinct, emit)
 
     c1, c2 = distinct
     gap = c2 - c1
@@ -276,10 +234,12 @@ def solve_two_cost(inst: Instance, check_invariants: bool = False,
         pick = next((p for p in inst.agent_prefs[a] if cost[p] == c1), None)
         if pick is not None:
             assignment[a] = pick
-    _emit(trace, {"event": "init", "matching": dict(assignment)})
-    promoter = _Promoter(inst, assignment, tight, trace)
+    if emit is not None:
+        emit({"event": "init", "matching": dict(assignment)})
+    promoter = _Promoter(inst, assignment, tight, emit)
     thresh = promoter.thresh
-    _emit(trace, {"event": "thresholds", "map": dict(thresh)})
+    if emit is not None:
+        emit({"event": "thresholds", "map": dict(thresh)})
 
     budget = 8 * promoter.edge_budget * (len(inst.agents) + 1) + 64
     spent = 0
@@ -288,7 +248,8 @@ def solve_two_cost(inst: Instance, check_invariants: bool = False,
         while inst.agents[first_free] in assignment:
             first_free += 1
         a = inst.agents[first_free]
-        _emit(trace, {"event": "select", "agent": a})
+        if emit is not None:
+            emit({"event": "select", "agent": a})
         while a not in assignment:
             spent += 1
             if spent > budget:
@@ -297,22 +258,20 @@ def solve_two_cost(inst: Instance, check_invariants: bool = False,
             for p in inst.agent_prefs[a]:
                 lhs[(a, p)] += gap
             promoter.touch(a)
-            _emit(trace, {"event": "y_update", "agent": a, "value": dual.y[a],
-                          "tight": [p for p in inst.agent_prefs[a] if tight(a, p)]})
-            if check_invariants:
-                _audit(inst, dual, lhs, assignment, thresh)
+            if emit is not None:
+                emit({"event": "y_update", "agent": a, "value": dual.y[a],
+                      "tight": [p for p in inst.agent_prefs[a] if tight(a, p)]})
             direct = promoter.matchable(a)
             if direct is not None:
                 promoter.move(a, direct)
-                _emit(trace, {"event": "promote", "agent": a,
-                              "source": None, "target": direct})
+                if emit is not None:
+                    emit({"event": "promote", "agent": a,
+                          "source": None, "target": direct})
                 promoter.run()
-                if check_invariants:
-                    _audit(inst, dual, lhs, assignment, thresh)
                 continue
             candidates = _candidate_programs(inst, lhs, thresh, assignment, a)
-            _emit(trace, {"event": "candidates", "agent": a,
-                          "programs": list(candidates)})
+            if emit is not None:
+                emit({"event": "candidates", "agent": a, "programs": candidates})
             while candidates:
                 spent += 1
                 if spent > budget:
@@ -329,25 +288,26 @@ def solve_two_cost(inst: Instance, check_invariants: bool = False,
                 lhs[(a, pz)] -= gap
                 promoter.touch(helper)
                 promoter.touch(a)
-                _emit(trace, {"event": "z_update", "preferred": helper,
-                              "program": pz, "agent": a, "value": dual.z[key],
-                              "tight": [p for p in inst.agent_prefs[helper]
-                                        if tight(helper, p)]})
+                if emit is not None:
+                    emit({"event": "z_update", "preferred": helper,
+                          "program": pz, "agent": a, "value": dual.z[key],
+                          "tight": [p for p in inst.agent_prefs[helper]
+                                    if tight(helper, p)]})
                 dest = promoter.matchable(helper)
                 if dest is None:
                     raise InvariantBroken("helper agent has no matchable edge")
                 old = promoter.move(helper, dest)
-                _emit(trace, {"event": "promote", "agent": helper,
-                              "source": old, "target": dest})
+                if emit is not None:
+                    emit({"event": "promote", "agent": helper,
+                          "source": old, "target": dest})
                 promoter.run()
-                if check_invariants:
-                    _audit(inst, dual, lhs, assignment, thresh)
                 candidates = _candidate_programs(inst, lhs, thresh, assignment, a)
-                _emit(trace, {"event": "candidates", "agent": a,
-                              "programs": list(candidates)})
+                if emit is not None:
+                    emit({"event": "candidates", "agent": a, "programs": candidates})
 
     matching = Matching({a: assignment[a] for a in inst.agents})
-    _emit(trace, {"event": "done", "matching": dict(matching.assignment)})
+    if emit is not None:
+        emit({"event": "done", "matching": dict(matching.assignment)})
     return _finish(inst, dual, matching)
 
 
@@ -368,16 +328,18 @@ def _candidate_programs(inst: Instance, lhs: dict, thresh: dict,
 
 
 def _uniform_cost(inst: Instance, distinct: list[int],
-                  trace: list[dict] | None
+                  emit: Callable[[dict], None] | None
                   ) -> tuple[AugmentedSolution, DualState]:
     """Zero or one distinct cost: every A-perfect matching costs the same,
     so give each agent its top choice (trivially envy-free)."""
     c = distinct[0] if distinct else 0
     assignment = {a: inst.agent_prefs[a][0] for a in inst.agents}
-    _emit(trace, {"event": "init", "matching": dict(assignment)})
+    if emit is not None:
+        emit({"event": "init", "matching": dict(assignment)})
     dual = DualState(y={a: c for a in inst.agents}, z={}, c1=c, c2=c)
     matching = Matching(assignment)
-    _emit(trace, {"event": "done", "matching": dict(assignment)})
+    if emit is not None:
+        emit({"event": "done", "matching": dict(assignment)})
     return _finish(inst, dual, matching)
 
 
@@ -399,31 +361,3 @@ def _finish(inst: Instance, dual: DualState, matching: Matching
         raise InvariantBroken("cost certificate violated at termination")
     return solution, dual
 
-
-def _audit(inst: Instance, dual: DualState, lhs: dict,
-           assignment: dict[str, str], thresh: dict[str, str | None]) -> None:
-    """Debug-mode invariants: the cached lhs and cursor thresholds match
-    their from-scratch recomputation, the dual stays feasible, and the
-    matching stays envy-free."""
-    for a in inst.agents:
-        for p in inst.agent_prefs[a]:
-            fresh = edge_lhs(inst, dual, a, p)
-            if fresh != lhs[(a, p)]:
-                raise AssertionError(
-                    f"lhs cache drift on ({a!r}, {p!r}): {lhs[(a, p)]} vs {fresh}"
-                )
-            if fresh > inst.cost[p]:
-                raise AssertionError(f"dual constraint violated on ({a!r}, {p!r})")
-    fresh_thresh = compute_thresholds(inst, Matching(assignment))
-    if fresh_thresh != thresh:
-        drift = sorted(p for p in inst.programs if fresh_thresh[p] != thresh[p])
-        raise AssertionError(f"threshold cursor drift on {drift[:3]}")
-    # unmatched agents may rank above an occupant until they are placed
-    for a, b, p in _scan_blocking(inst, Matching(assignment), inst.quota).envy_pairs:
-        if a in assignment:
-            raise AssertionError(f"envy: {a!r} envies {b!r} at {p!r}")
-
-
-def _emit(trace: list[dict] | None, event: dict) -> None:
-    if trace is not None:
-        trace.append(event)

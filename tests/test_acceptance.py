@@ -37,9 +37,10 @@ from capmatch.stability import (
     gale_shapley,
     is_stable_augmented,
 )
-from capmatch.twocost import check_dual_feasible, edge_lhs, solve_two_cost
+from capmatch.twocost import check_dual_feasible, solve_two_cost
 
 from conftest import random_envy_free_matching
+from oracles import audited_two_cost, edge_lhs
 
 N_RANDOM = 500
 N_REDUCTIONS = 100
@@ -91,7 +92,7 @@ def test_acceptance_1_golden_trace(binary_cost, announce):
     with reported(announce, "1 golden trace"):
         trace: list = []
         start = time.perf_counter()
-        solution, dual = solve_two_cost(binary_cost, trace=trace)
+        solution, dual = solve_two_cost(binary_cost, emit=trace.append)
         elapsed = time.perf_counter() - start
 
         assert trace[0] == {"event": "init",
@@ -185,16 +186,17 @@ def test_acceptance_5_invariant_suites(announce):
             # (c) the promotion repair ends stable without unmatching anyone
             steps: list = []
             repaired = envy_free_to_stable(inst, inst.quota, Matching(start),
-                                           steps=steps)
+                                           emit=steps.append)
             assert blocking_pairs(inst, inst.quota, repaired).empty
             assert set(start) <= set(repaired.assignment)
             assert len(steps) <= metrics(inst).edges
 
             # (d) sweep promotions only target cheapest-fallback programs
-            run = lp_approx_run(inst)
-            for step in run.steps:
-                if step.phase == PROMOTE:
-                    assert step.target in run.classification.fallback_programs
+            steps = []
+            run = lp_approx_run(inst, emit=steps.append)
+            for step in steps:
+                if step["phase"] == PROMOTE:
+                    assert step["to"] in run.classification.fallback_programs
 
             # (f) grid feasibility is monotone
             feasible_seen = False
@@ -206,7 +208,7 @@ def test_acceptance_5_invariant_suites(announce):
 
         # (e) two-cost termination: feasible dual, tight matched edges
         for inst in _two_cost_instances(1501):
-            solution, dual = solve_two_cost(inst, check_invariants=True)
+            solution, dual, _ = audited_two_cost(inst)
             check = check_dual_feasible(inst, dual)
             assert check.feasible
             for a, p in solution.matching.assignment.items():

@@ -12,7 +12,6 @@ from capmatch.minsum import (
     PROMOTE,
     REPAIR,
     LpApproxRun,
-    PromotionStep,
     classify_programs,
     lp_approx_run,
 )
@@ -27,19 +26,18 @@ from capmatch.stability import (
 from conftest import small_instances
 
 
-def roster_sweep_lp_run(inst):
+def roster_sweep_lp_run(inst, emit):
     """Reference ``lp_approx_run``: the sweep keeps a set of occupants per
     program, takes the worst occupant's rank with ``max`` and tests every
     agent on the program's list against it."""
     require_all_matchable(inst)
     initial = gale_shapley(inst, dict(inst.quota))
     classification = classify_programs(inst, initial)
-    steps = []
+    steps = 0
 
     if initial.is_a_perfect(inst):
         solution = build_solution(inst, initial, "lp")
-        return LpApproxRun(solution, initial, classification, (),
-                           solution.total_cost)
+        return LpApproxRun(solution, initial, classification, solution.total_cost)
 
     matched = initial.assignment
     assignment = dict(matched)
@@ -67,27 +65,30 @@ def roster_sweep_lp_run(inst):
                 rosters[cur].remove(a)
                 rosters[p].add(a)
                 assignment[a] = p
-                steps.append(PromotionStep(PROMOTE, a, cur, p, labels[p]))
+                steps += 1
+                emit({"step": steps, "agent": a, "from": cur, "to": p,
+                      "class": labels[p], "phase": PROMOTE})
 
     interim = Matching({a: assignment[a] for a in inst.agents})
     _, cost_before_repair, _ = solution_cost(inst, interim)
 
     raw_repairs = []
-    final = envy_free_to_stable(inst, dict(inst.quota), interim, steps=raw_repairs)
-    for agent, src, dst in raw_repairs:
-        steps.append(PromotionStep(REPAIR, agent, src, dst, labels[dst]))
+    final = envy_free_to_stable(inst, dict(inst.quota), interim, raw_repairs.append)
+    for move in raw_repairs:
+        steps += 1
+        emit({"step": steps, "agent": move["agent"], "from": move["from"],
+              "to": move["to"], "class": labels[move["to"]], "phase": REPAIR})
 
     solution = build_solution(inst, final, "lp")
-    return LpApproxRun(solution, initial, classification, tuple(steps),
-                       cost_before_repair)
+    return LpApproxRun(solution, initial, classification, cost_before_repair)
 
 
-def _fields(run):
+def _fields(run, steps):
     sol = run.solution
     return (list(sol.matching.assignment.items()), list(sol.aug.items()),
             sol.total_cost, sol.max_cost, sol.a_perfect, sol.stable,
             list(run.initial.assignment.items()), run.classification,
-            run.steps, run.cost_before_repair)
+            [list(step.items()) for step in steps], run.cost_before_repair)
 
 
 @st.composite
@@ -102,7 +103,9 @@ def lp_markets(draw):
 @settings(max_examples=500, deadline=None)
 @given(lp_markets())
 def test_sweep_matches_roster_sweep(inst):
-    assert _fields(lp_approx_run(inst)) == _fields(roster_sweep_lp_run(inst))
+    steps, expected = [], []
+    assert (_fields(lp_approx_run(inst, steps.append), steps)
+            == _fields(roster_sweep_lp_run(inst, expected.append), expected))
 
 
 def test_no_envy_after_sweep_at_scale():
@@ -110,16 +113,17 @@ def test_no_envy_after_sweep_at_scale():
     (deferred acceptance, the parking programs and the promote steps), holds
     no envy pair, and its cost is the recorded ``cost_before_repair``."""
     inst = random_instance(15_000, 3_000, 6, (0, 1, 2), (0, 1, 2, 5), seed=77)
-    run = lp_approx_run(inst)
+    steps: list = []
+    run = lp_approx_run(inst, emit=steps.append)
     assignment = dict(run.initial.assignment)
     unmatched = [a for a in inst.agents if a not in run.initial.assignment]
     assert unmatched and len(unmatched) == len(run.classification.parking)
     assignment.update(zip(unmatched, run.classification.parking))
-    promotions = [s for s in run.steps if s.phase == PROMOTE]
+    promotions = [s for s in steps if s["phase"] == PROMOTE]
     assert promotions
     for step in promotions:
-        assert assignment[step.agent] == step.source
-        assignment[step.agent] = step.target
+        assert assignment[step["agent"]] == step["from"]
+        assignment[step["agent"]] = step["to"]
     interim = Matching({a: assignment[a] for a in inst.agents})
     assert _scan_blocking(inst, interim, inst.quota).envy_pairs == ()
     assert solution_cost(inst, interim)[1] == run.cost_before_repair

@@ -13,7 +13,6 @@ from capmatch.minsum import (
     OCCUPIED_FALLBACK,
     PROMOTE,
     REPAIR,
-    PromotionStep,
     classify_programs,
     lp_approx_run,
     solve_p_approx,
@@ -47,11 +46,12 @@ def test_classification_occupied_non_fallback():
 
 
 def test_lp_run_cascade(cascade):
-    run = lp_approx_run(cascade)
+    steps: list = []
+    run = lp_approx_run(cascade, emit=steps.append)
     assert run.initial.assignment == {}
     # everyone parks at their cheapest program, then a4 climbs to p2
-    assert run.steps == (
-        PromotionStep(PROMOTE, "a4", "p0", "p2", EMPTY_FALLBACK),)
+    assert steps == [{"step": 1, "agent": "a4", "from": "p0", "to": "p2",
+                      "class": EMPTY_FALLBACK, "phase": PROMOTE}]
     assert run.cost_before_repair == 12
     sol = run.solution
     assert sol.matching.assignment == {"a1": "p0", "a2": "p0", "a3": "p0",
@@ -85,9 +85,10 @@ def test_lp_gs_complete_shortcut():
         "program p1 q=1 c=5 : a1 a2\n"
         "program p2 q=1 c=5 : a2\n"
     )
-    run = lp_approx_run(inst)
+    steps: list = []
+    run = lp_approx_run(inst, emit=steps.append)
     assert run.initial.assignment == {"a1": "p1", "a2": "p2"}
-    assert run.steps == ()
+    assert steps == []
     assert run.solution.total_cost == 0
 
 
@@ -133,21 +134,23 @@ def _random_cases(count, seed, quotas):
 
 def test_lp_runs_random():
     for inst in _random_cases(150, 2024, (0, 1, 2)):
-        run = lp_approx_run(inst)
+        steps: list = []
+        run = lp_approx_run(inst, emit=steps.append)
         sol = run.solution
         assert sol.a_perfect and sol.stable
         assert find_envy(inst, sol.matching.assignment) is None
         assert sol.total_cost <= run.cost_before_repair
-        for step in run.steps:
-            rank = inst.agent_rank[step.agent]
-            if step.source is not None:
-                assert rank[step.target] < rank[step.source]  # never a demotion
-            if step.phase == PROMOTE:
+        assert [s["step"] for s in steps] == list(range(1, len(steps) + 1))
+        for step in steps:
+            rank = inst.agent_rank[step["agent"]]
+            if step["from"] is not None:
+                assert rank[step["to"]] < rank[step["from"]]  # never a demotion
+            if step["phase"] == PROMOTE:
                 # sweep promotions only target cheapest-fallback programs
-                assert step.target in run.classification.fallback_programs
-                assert step.target_label in (OCCUPIED_FALLBACK, EMPTY_FALLBACK)
+                assert step["to"] in run.classification.fallback_programs
+                assert step["class"] in (OCCUPIED_FALLBACK, EMPTY_FALLBACK)
             else:
-                assert step.phase == REPAIR
+                assert step["phase"] == REPAIR
         bound = sum(len(inst.program_prefs[p]) * inst.cost[p]
                     for p in run.classification.fallback_programs)
         assert run.cost_before_repair <= bound

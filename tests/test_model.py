@@ -23,6 +23,7 @@ from capmatch.model import validate_matching
 from capmatch.stability import build_solution
 
 from conftest import small_instances
+from oracles import roster
 
 
 def test_parse_binary_cost(binary_cost):
@@ -134,9 +135,10 @@ def test_matching_views(binary_cost):
     m = Matching({"a1": "p1", "a3": "p1"})
     assert m.assignment.get("a1") == "p1"
     assert m.assignment.get("a2") is None
-    assert set(m.roster.get("p1", ())) == {"a1", "a3"}
-    assert len(m.roster.get("p1", ())) == 2
-    assert len(m.roster.get("p2", ())) == 0
+    rosters = roster(m)
+    assert set(rosters.get("p1", ())) == {"a1", "a3"}
+    assert len(rosters.get("p1", ())) == 2
+    assert len(rosters.get("p2", ())) == 0
     assert not m.is_a_perfect(binary_cost)
 
 

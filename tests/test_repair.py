@@ -20,14 +20,15 @@ from capmatch.stability import (
 )
 
 from conftest import random_envy_free_matching, small_instances
+from oracles import roster
 
 
-def rescan_to_stable(inst, quotas, matching, steps):
+def rescan_to_stable(inst, quotas, matching, emit):
     """Reference repair: after every move, rescan the programs from the first
     one for a free seat with an agent who would rather be there."""
     validate_matching(inst, matching)
     probe = _scan_blocking(inst, matching,
-                           {p: max(inst.quota[p], len(matching.roster.get(p, ())))
+                           {p: max(inst.quota[p], len(roster(matching).get(p, ())))
                             for p in inst.programs})
     if probe.envy_pairs:
         a, b, p = probe.envy_pairs[0]
@@ -58,7 +59,7 @@ def rescan_to_stable(inst, quotas, matching, steps):
             load[cur] -= 1
         load[p] += 1
         assignment[a] = p
-        steps.append((a, cur, p))
+        emit({"agent": a, "from": cur, "to": p})
         moves += 1
         if moves > edge_budget:
             raise InvariantBroken("promotion loop exceeded the edge budget")
@@ -68,7 +69,7 @@ def rescan_to_stable(inst, quotas, matching, steps):
 def _outcome(repair, inst, quotas, start):
     steps: list = []
     try:
-        result = repair(inst, quotas, start, steps)
+        result = repair(inst, quotas, start, steps.append)
     except NotEnvyFree as exc:
         return "not envy-free", str(exc), steps
     return result.assignment, list(result.assignment), steps
@@ -147,8 +148,9 @@ def test_smoke_adversarial_repair():
     inst, start = adversarial_market(free=size, blockers=size, chain=size)
     began = time.perf_counter()
     steps: list = []
-    result = envy_free_to_stable(inst, inst.quota, start, steps=steps)
+    result = envy_free_to_stable(inst, inst.quota, start, emit=steps.append)
     elapsed = time.perf_counter() - began
-    assert steps == [(f"x{i}", f"c{i}", f"c{i - 1}") for i in range(1, size + 1)]
+    assert steps == [{"agent": f"x{i}", "from": f"c{i}", "to": f"c{i - 1}"}
+                     for i in range(1, size + 1)]
     assert is_stable_augmented(inst, result)[0]
     assert elapsed < 1.0

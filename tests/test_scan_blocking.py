@@ -22,15 +22,17 @@ from capmatch.stability import (
     _scan_blocking,
 )
 
+from oracles import roster
+
 
 def reference_scan(inst, matching, quotas):
     """Every agent in declaration order, each program's roster up front."""
     prank = inst.program_rank
     assignment = matching.assignment
-    roster = matching.roster
-    load = {p: len(occupants) for p, occupants in roster.items()}
+    rosters = roster(matching)
+    load = {p: len(occupants) for p, occupants in rosters.items()}
     worst = {p: max(map(prank[p].__getitem__, occupants))
-             for p, occupants in roster.items()}
+             for p, occupants in rosters.items()}
     pairs = []
     envy_pairs = []
     for a in inst.agents:
@@ -101,14 +103,15 @@ def test_scan_matches_reference_at_scale():
     ``lp``'s matching after the sweep (rebuilt from the run's record) and an
     unstable matching with every fifth agent moved to its last choice."""
     inst = random_instance(15_000, 3_000, 6, (0, 1, 2), (0, 1, 2, 5), seed=77)
-    run = lp_approx_run(inst)
+    steps: list = []
+    run = lp_approx_run(inst, emit=steps.append)
     assignment = dict(run.initial.assignment)
     assignment.update(zip((a for a in inst.agents
                            if a not in run.initial.assignment),
                           run.classification.parking))
-    for step in run.steps:
-        if step.phase == PROMOTE:
-            assignment[step.agent] = step.target
+    for step in steps:
+        if step["phase"] == PROMOTE:
+            assignment[step["agent"]] = step["to"]
     interim = {a: assignment[a] for a in inst.agents}
     minmax = solve_minmax(inst).matching.assignment
     moved = dict(minmax)

@@ -109,9 +109,9 @@ def test_is_stable_augmented(binary_cost):
 def test_envy_free_to_stable_promotes(contested_seat):
     steps: list = []
     m = envy_free_to_stable(contested_seat, {"p1": 1, "p2": 1}, Matching({}),
-                            steps=steps)
+                            emit=steps.append)
     assert m.assignment == {"a1": "p1"}
-    assert steps == [("a1", None, "p1")]
+    assert steps == [{"agent": "a1", "from": None, "to": "p1"}]
 
 
 def test_envy_free_to_stable_rejects_envious_input(contested_seat):
@@ -125,7 +125,7 @@ def test_envy_free_to_stable_tolerates_overfull_programs(contested_seat):
     # seat at p2 tempts nobody, so nothing moves
     steps: list = []
     m = envy_free_to_stable(contested_seat, {"p1": 1, "p2": 1},
-                            Matching({"a1": "p1", "a2": "p1"}), steps=steps)
+                            Matching({"a1": "p1", "a2": "p1"}), emit=steps.append)
     assert m.assignment == {"a1": "p1", "a2": "p1"}
     assert steps == []
 
@@ -166,7 +166,8 @@ def test_envy_free_to_stable_random_runs():
                                seed=rng.randrange(10**6))
         start = random_envy_free_matching(inst, inst.quota, rng)
         steps: list = []
-        m = envy_free_to_stable(inst, inst.quota, Matching(start), steps=steps)
+        m = envy_free_to_stable(inst, inst.quota, Matching(start),
+                                emit=steps.append)
         assert blocking_pairs(inst, inst.quota, m).empty
         assert set(start) <= set(m.assignment)
         for a, p in start.items():

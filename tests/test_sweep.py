@@ -25,6 +25,7 @@ from capmatch.stability import (
 )
 
 from conftest import small_instances
+from oracles import roster
 
 
 def max_scan_agent_proposing(inst, quotas):
@@ -179,6 +180,7 @@ def test_invariants_at_scale():
         agents_side = gale_shapley(inst, quotas, AGENT_PROPOSING)
         programs_side = gale_shapley(inst, quotas, PROGRAM_PROPOSING)
         assert set(agents_side.assignment) == set(programs_side.assignment)
+        agents_roster, programs_roster = roster(agents_side), roster(programs_side)
         for p in inst.programs:
-            assert (len(agents_side.roster.get(p, ()))
-                    == len(programs_side.roster.get(p, ()))), p
+            assert (len(agents_roster.get(p, ()))
+                    == len(programs_roster.get(p, ()))), p

@@ -1,4 +1,5 @@
-"""Primal-dual two-cost solver: dual arithmetic, thresholds, golden run."""
+"""Primal-dual two-cost solver: dual arithmetic, thresholds, golden run, and
+the replay auditor of ``tests/oracles.py``."""
 
 from __future__ import annotations
 
@@ -9,17 +10,16 @@ import pytest
 from capmatch import Instance, Matching, NotAnEdge, PreconditionViolated, metrics
 from capmatch.generators import random_instance
 from capmatch.oracle import brute_force_minsum
-from capmatch.twocost import (
-    DualState,
-    _audit,
-    check_dual_feasible,
+from capmatch.twocost import DualState, check_dual_feasible, solve_two_cost
+
+from conftest import find_envy
+from oracles import (
+    TwoCostAuditor,
+    audited_two_cost,
     compute_thresholds,
     edge_lhs,
     free_promotions,
-    solve_two_cost,
 )
-
-from conftest import find_envy
 
 
 def _zero_dual(inst):
@@ -130,7 +130,7 @@ def test_free_promotions_result_is_order_independent():
 
 def test_golden_run(binary_cost):
     trace: list = []
-    solution, dual = solve_two_cost(binary_cost, trace=trace)
+    solution, dual = solve_two_cost(binary_cost, emit=trace.append)
     assert [e["event"] for e in trace] == [
         "init", "thresholds", "select", "y_update", "candidates",
         "z_update", "promote", "free_promote", "candidates", "done"]
@@ -188,7 +188,7 @@ def test_random_runs_keep_all_promises():
         pair = COST_PAIRS[trial % len(COST_PAIRS)]
         inst = random_instance(rng.randint(1, 6), rng.randint(1, 5), 4,
                                (0,), pair, seed=rng.randrange(10**6))
-        solution, dual = solve_two_cost(inst, check_invariants=True)
+        solution, dual, _ = audited_two_cost(inst)
         assert solution.a_perfect and solution.stable
         assert find_envy(inst, solution.matching.assignment) is None
         check = check_dual_feasible(inst, dual)
@@ -208,12 +208,12 @@ def test_audit_flags_envy_between_matched_agents_only():
                     {"a1": ("p1", "p2"), "a2": ("p1",), "a3": ("p1",)},
                     {"p1": ("a3", "a1", "a2"), "p2": ("a1",)},
                     {"p1": 0, "p2": 0}, {"p1": 1, "p2": 2})
-    dual = _zero_dual(inst)
-    lhs = {(a, p): 0 for a in inst.agents for p in inst.agent_prefs[a]}
 
     def audit(assignment):
-        _audit(inst, dual, lhs, assignment,
-               compute_thresholds(inst, Matching(assignment)))
+        auditor = TwoCostAuditor(inst)
+        auditor.assignment = assignment
+        auditor.dual.y.update(dict.fromkeys(inst.agents, 0))
+        auditor._check_settled()
 
     audit({"a2": "p1"})  # unmatched a1 and a3 outrank a2: not envy yet
     with pytest.raises(AssertionError, match="^envy: 'a1' envies 'a2' at 'p1'$"):

@@ -3,9 +3,10 @@
 Each market below is solved through ``capmatch solve --alg twocost --trace``
 and the sha256 of the full stderr trace and of the solution JSON is compared
 with a recorded value.  The small markets are additionally solved through the
-library with ``check_invariants=True``, and the digest of the dual
-certificate (``y`` and ``z``) is compared too.  The large markets are the
-800-agent / 160-program two-cost markets of the benchmark.
+library under the replay auditor of ``tests/oracles.py``, and the digest of
+the events it saw and of the dual certificate (``y`` and ``z``) is compared
+too.  The large markets are the 800-agent / 160-program two-cost markets of
+the benchmark.
 
 Print the table for a deliberate re-recording with::
 
@@ -26,7 +27,8 @@ import pytest
 from capmatch.cli import main
 from capmatch.generators import random_instance
 from capmatch.model import serialize_instance
-from capmatch.twocost import solve_two_cost
+
+from oracles import audited_two_cost
 
 COST_PAIRS = ((0, 1), (1, 3), (2, 7), (0, 5), (4, 4))
 
@@ -62,10 +64,9 @@ def cli_digests(inst, tmp: Path) -> tuple[str, str]:
 
 
 def audited_digest(inst) -> str:
-    """sha256 of the trace and dual of a ``check_invariants=True`` run."""
-    trace: list = []
-    _, dual = solve_two_cost(inst, check_invariants=True, trace=trace)
-    doc = {"trace": trace, "y": dual.y,
+    """sha256 of the events and dual of a run under the replay auditor."""
+    _, dual, auditor = audited_two_cost(inst)
+    doc = {"trace": auditor.events, "y": dual.y,
            "z": sorted([*k, v] for k, v in dual.z.items())}
     return _sha(json.dumps(doc, sort_keys=True))
 
