@@ -9,12 +9,10 @@ single-program spend (exact).
 
 from .errors import (
     CapmatchError,
-    EmptyPreferenceList,
     InstanceTooLarge,
     InvariantBroken,
     InvalidMatching,
     InvalidParams,
-    NotAnEdge,
     NotEnvyFree,
     ParseError,
     PreconditionViolated,
@@ -40,7 +38,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AugmentedSolution",
     "CapmatchError",
-    "EmptyPreferenceList",
     "Instance",
     "InstanceMetrics",
     "InstanceTooLarge",
@@ -48,7 +45,6 @@ __all__ = [
     "InvalidMatching",
     "InvalidParams",
     "Matching",
-    "NotAnEdge",
     "NotEnvyFree",
     "ParseError",
     "PreconditionViolated",

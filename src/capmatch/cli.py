@@ -35,7 +35,7 @@ from .generators import (
 from .minmax import solve_minmax
 from .minsum import lp_approx_run, solve_p_approx
 from .model import parse_instance, serialize_instance, solution_to_json
-from .oracle import OracleLimits, brute_force_minmax, brute_force_minsum
+from .oracle import DEFAULT_LIMIT, brute_force_minmax, brute_force_minsum
 from .stability import verify_solution
 from .twocost import solve_two_cost
 
@@ -68,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--out")
     solve.add_argument("--trace", action="store_true",
                        help="emit per-step JSON lines on stderr (lp, twocost)")
-    solve.add_argument("--limit", type=int, default=OracleLimits().max_search_space,
+    solve.add_argument("--limit", type=int, default=DEFAULT_LIMIT,
                        help="oracle search-space ceiling")
     solve.add_argument("--format", choices=("json", "text"), default="json")
     solve.set_defaults(func=run_solve)
@@ -124,9 +124,9 @@ def run_solve(args: argparse.Namespace) -> int:
     elif args.alg == "twocost":
         sol, _ = solve_two_cost(inst, emit)
     elif args.alg == "oracle-minsum":
-        sol = brute_force_minsum(inst, OracleLimits(args.limit))
+        sol = brute_force_minsum(inst, limit=args.limit)
     else:
-        sol = brute_force_minmax(inst, OracleLimits(args.limit))
+        sol = brute_force_minmax(inst, limit=args.limit)
 
     doc = solution_to_json(inst, sol)
     payload = _render(doc, args.format)
@@ -227,7 +227,7 @@ def run_reduce_setcover(args: argparse.Namespace) -> int:
     n, k, sets = read_set_cover(_read(args.infile))
     artifact = from_set_cover(n, sets, k)
     Path(args.out).write_text(serialize_instance(artifact.instance))
-    print(json.dumps(_meta_doc(artifact), indent=2))
+    print(json.dumps({"budget": artifact.budget, **artifact.meta}, indent=2))
     return 0
 
 
@@ -235,16 +235,8 @@ def run_reduce_vertexcover(args: argparse.Namespace) -> int:
     n_vertices, edges = read_graph(_read(args.infile))
     artifact = from_vertex_cover(n_vertices, edges, args.k, args.eps)
     Path(args.out).write_text(serialize_instance(artifact.instance))
-    print(json.dumps(_meta_doc(artifact), indent=2))
+    print(json.dumps({"budget": artifact.budget, **artifact.meta}, indent=2))
     return 0
-
-
-def _meta_doc(artifact) -> dict:
-    meta = dict(artifact.meta)
-    meta["sets"] = [list(s) for s in meta["sets"]]
-    if "graph_edges" in meta:
-        meta["graph_edges"] = [list(e) for e in meta["graph_edges"]]
-    return {"budget": artifact.budget, **meta}
 
 
 def _int_list(raw: str, flag: str) -> list[int]:

@@ -13,10 +13,6 @@ class ValidationError(CapmatchError):
     """Structured input violates a model invariant."""
 
 
-class EmptyPreferenceList(CapmatchError):
-    """Operation needs an agent with at least one acceptable program."""
-
-
 class UnmatchableAgent(CapmatchError):
     """An agent with an empty preference list can never be matched."""
 
@@ -27,10 +23,6 @@ class InvalidMatching(CapmatchError):
 
 class NotEnvyFree(CapmatchError):
     """Input matching admits an envy pair."""
-
-
-class NotAnEdge(CapmatchError):
-    """Agent-program pair is not mutually acceptable."""
 
 
 class PreconditionViolated(CapmatchError):

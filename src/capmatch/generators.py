@@ -22,10 +22,9 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .errors import InvalidParams, ParseError, UncoverableElement
-from .model import Instance, Matching
+from .model import Instance
 
 
 @dataclass(frozen=True)
@@ -33,7 +32,7 @@ class ReductionArtifact:
     """A reduced instance plus the budget its covering question maps to.
 
     ``meta`` records the source problem and the normalized sets, enough to
-    rebuild witness matchings with :func:`cover_witness`.
+    rebuild the witness matching of any cover.
     """
 
     instance: Instance
@@ -242,55 +241,6 @@ def _as_fraction(eps) -> Fraction:
     if isinstance(eps, float):
         return Fraction(str(eps))
     return Fraction(eps)
-
-
-def cover_witness(artifact: ReductionArtifact, cover) -> Matching:
-    """The matching a cover induces: open each chosen set's program fully.
-
-    Dummies of chosen sets move to the set program, all other dummies take
-    their private fallback, and each element goes to its most preferred
-    opened set program.  InvalidParams if ``cover`` misses an element.
-    """
-    chosen = set(cover)
-    sets = artifact.meta["sets"]
-    width = artifact.meta["dummies_per_set"]
-    for j in chosen:
-        if not 1 <= j <= len(sets):
-            raise InvalidParams(f"cover names unknown set {j}")
-    assignment: dict[str, str] = {}
-    inst = artifact.instance
-    for j in range(1, len(sets) + 1):
-        target = f"c{j}" if j in chosen else None
-        for slot in range(1, width + 1):
-            u = f"u{j}_{slot}"
-            assignment[u] = target if target else f"w{j}_{slot}"
-    n_elem = artifact.meta["universe"]
-    for e in range(1, n_elem + 1):
-        a = f"a{e}"
-        pick = next((p for p in inst.agent_prefs[a]
-                     if int(p[1:]) in chosen), None)
-        if pick is None:
-            raise InvalidParams(f"cover does not cover element {e}")
-        assignment[a] = pick
-    return Matching({a: assignment[a] for a in inst.agents})
-
-
-def min_cover_size(universe_size: int, sets) -> int:
-    """Smallest number of sets covering the universe (exhaustive; small m)."""
-    normalized = _normalize_sets(universe_size, sets)
-    everything = set(range(1, universe_size + 1))
-    covered = set().union(*[set(s) for s in normalized]) if normalized else set()
-    if covered != everything:
-        missing = min(everything - covered)
-        raise UncoverableElement(f"element {missing} is in no set")
-    for size in range(0, len(normalized) + 1):
-        for combo in combinations(range(len(normalized)), size):
-            union = set()
-            for ix in combo:
-                union.update(normalized[ix])
-            if union == everything:
-                return size
-    raise RuntimeError("unreachable: full collection covers the universe")
 
 
 def _content_lines(text: str, what: str) -> list[tuple[int, str]]:

@@ -53,13 +53,7 @@ from itertools import repeat
 from operator import contains
 from typing import NamedTuple
 
-from .errors import (
-    EmptyPreferenceList,
-    InvalidMatching,
-    ParseError,
-    UnmatchableAgent,
-    ValidationError,
-)
+from .errors import InvalidMatching, ParseError, UnmatchableAgent, ValidationError
 
 _IDENT = re.compile(r"[A-Za-z0-9_]+\Z")
 # Whole declaration lines.  \s is exactly the whitespace of str.split() and
@@ -386,7 +380,7 @@ def least_cost_program(inst: Instance, agent: str) -> str:
     if prefs is None:
         raise ValidationError(f"unknown agent {agent!r}")
     if not prefs:
-        raise EmptyPreferenceList(f"agent {agent!r} has an empty preference list")
+        raise UnmatchableAgent(f"agent {agent!r} has an empty preference list")
     return min(prefs, key=inst.cost.__getitem__)
 
 

@@ -11,7 +11,6 @@ lexicographically smallest, making results deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 
 from .errors import InstanceTooLarge, InvariantBroken
@@ -20,33 +19,26 @@ from .stability import build_solution
 
 MINSUM = "sum"
 MINMAX = "max"
+# hard ceiling on the product of list lengths before refusing to run
+DEFAULT_LIMIT = 10_000_000
 
 
-@dataclass(frozen=True)
-class OracleLimits:
-    """Hard ceiling on the product of list lengths before refusing to run."""
-
-    max_search_space: int = 10_000_000
+def brute_force_minsum(inst: Instance, *,
+                       limit: int = DEFAULT_LIMIT) -> AugmentedSolution:
+    return _solve(inst, MINSUM, limit, "oracle-minsum")
 
 
-def brute_force_minsum(inst: Instance,
-                       limits: OracleLimits = OracleLimits()) -> AugmentedSolution:
-    return _solve(inst, MINSUM, limits, "oracle-minsum")
+def brute_force_minmax(inst: Instance, *,
+                       limit: int = DEFAULT_LIMIT) -> AugmentedSolution:
+    return _solve(inst, MINMAX, limit, "oracle-minmax")
 
 
-def brute_force_minmax(inst: Instance,
-                       limits: OracleLimits = OracleLimits()) -> AugmentedSolution:
-    return _solve(inst, MINMAX, limits, "oracle-minmax")
-
-
-def _solve(inst: Instance, objective: str, limits: OracleLimits,
+def _solve(inst: Instance, objective: str, limit: int,
            algorithm: str) -> AugmentedSolution:
     require_all_matchable(inst)
     space = prod(len(inst.agent_prefs[a]) for a in inst.agents)
-    if space > limits.max_search_space:
-        raise InstanceTooLarge(
-            f"search space {space} exceeds limit {limits.max_search_space}"
-        )
+    if space > limit:
+        raise InstanceTooLarge(f"search space {space} exceeds limit {limit}")
     if not inst.agents:
         return build_solution(inst, Matching({}), algorithm)
 

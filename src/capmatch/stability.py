@@ -14,7 +14,7 @@ All scans run in declaration order, so every function here is deterministic.
 from __future__ import annotations
 
 import heapq
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import ne
@@ -68,11 +68,13 @@ def gale_shapley(inst: Instance, quotas: dict[str, int],
                  side: str = AGENT_PROPOSING) -> Matching:
     """Deferred acceptance under the given quotas (not the instance's own).
 
-    Proposers start in declaration order; a displaced proposer re-enters at
-    the head of the queue.  Both orientations produce a stable matching with
-    respect to ``quotas``, and by the rural-hospitals property they match the
-    same set of agents.  Agent-proposing runs keep each full program's
-    occupants in a heap (see :class:`AgentProposals`).
+    Agents propose in declaration order, a displaced agent next; programs
+    propose lowest declaration index first (:func:`_fill_free_seats` from an
+    empty matching).  Neither result depends on that order (McVitie & Wilson,
+    1971).  Both orientations produce a stable matching with respect to
+    ``quotas``, and by the rural-hospitals property they match the same set
+    of agents.  Agent-proposing runs keep each full program's occupants in a
+    heap (see :class:`AgentProposals`).
     """
     for p in inst.programs:
         if p not in quotas:
@@ -83,8 +85,7 @@ def gale_shapley(inst: Instance, quotas: dict[str, int],
         return Matching(AgentProposals(inst, quotas).assignment())
     if side != PROGRAM_PROPOSING:
         raise ValueError(f"unknown side {side!r}")
-    assignment = _program_proposing(inst, quotas)
-    return Matching({a: assignment[a] for a in inst.agents if a in assignment})
+    return _fill_free_seats(inst, quotas, {}, None)
 
 
 class AgentProposals:
@@ -158,28 +159,6 @@ def _occupant_heap(held: list[str], ranks: dict[str, int]) -> list[tuple[int, st
     return heap
 
 
-def _program_proposing(inst: Instance, quotas: dict[str, int]) -> dict[str, str]:
-    arank = inst.agent_rank
-    match: dict[str, str] = {}
-    used = {p: 0 for p in inst.programs}
-    next_ix = {p: 0 for p in inst.programs}
-    queue = deque(inst.programs)
-    while queue:
-        p = queue.popleft()
-        prefs = inst.program_prefs[p]
-        while used[p] < quotas[p] and next_ix[p] < len(prefs):
-            a = prefs[next_ix[p]]
-            next_ix[p] += 1
-            cur = match.get(a)
-            if cur is None or arank[a][p] < arank[a][cur]:
-                match[a] = p
-                used[p] += 1
-                if cur is not None:
-                    used[cur] -= 1
-                    queue.appendleft(cur)
-    return match
-
-
 def _scan_blocking(inst: Instance, matching: Matching,
                    quotas: dict[str, int]) -> BlockingReport:
     prank, program_prefs = inst.program_rank, inst.program_prefs
@@ -249,7 +228,24 @@ def envy_free_to_stable(inst: Instance, quotas: dict[str, int], matching: Matchi
     Promotions preserve envy-freeness and every move strictly improves the
     moved agent, so the loop runs at most once per edge.  ``emit`` (if given)
     is called with ``{"agent", "from", "to"}`` as each move happens, ``from``
-    being None for an agent that was unmatched.
+    being None for an agent that was unmatched.  The moves are those of
+    program-proposing deferred acceptance resumed from ``matching``
+    (:func:`_fill_free_seats`).
+    """
+    validate_matching(inst, matching)
+    probe = _scan_blocking(inst, matching, inst.quota)
+    if probe.envy_pairs:
+        a, b, p = probe.envy_pairs[0]
+        raise NotEnvyFree(f"agent {a!r} envies {b!r} at {p!r}")
+    return _fill_free_seats(inst, quotas, dict(matching.assignment), emit)
+
+
+def _fill_free_seats(inst: Instance, quotas: dict[str, int],
+                     assignment: dict[str, str],
+                     emit: Callable[[dict], None] | None) -> Matching:
+    """Program-proposing deferred acceptance from ``assignment`` (updated in
+    place): the lowest-index program with a free seat takes the first agent
+    on its list who would rather be there, until no such program is left.
 
     The moves are found from a worklist rather than by rescanning every
     program after each move: a min-heap holds the declaration indices of
@@ -261,21 +257,15 @@ def envy_free_to_stable(inst: Instance, quotas: dict[str, int], matching: Matchi
     departure brings its load down to ``quota - 1``.  That costs O(E + moves
     * log P) for E edges and P programs, instead of O(moves * P).
     """
-    validate_matching(inst, matching)
-    probe = _scan_blocking(inst, matching, inst.quota)
-    if probe.envy_pairs:
-        a, b, p = probe.envy_pairs[0]
-        raise NotEnvyFree(f"agent {a!r} envies {b!r} at {p!r}")
-
     arank = inst.agent_rank
     programs = inst.programs
-    assignment = dict(matching.assignment)
-    load = Counter(matching.assignment.values())
+    load = dict.fromkeys(programs, 0)  # every key present: no Counter.__missing__
+    load.update(Counter(assignment.values()))
     index = {p: i for i, p in enumerate(programs)}
     cursor = [0] * len(programs)
     # built in ascending order, so already a heap
     free = [i for i, p in enumerate(programs) if load[p] < quotas[p]]
-    edge_budget = sum(len(v) for v in inst.agent_prefs.values())
+    edge_budget = sum(map(len, inst.agent_prefs.values()))
     moves = 0
     while free:
         i = free[0]

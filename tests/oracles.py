@@ -8,11 +8,27 @@ matching moves only on ``promote`` and ``free_promote``.  Every decision the
 solver announces is recomputed from that copy with ``edge_lhs`` and
 ``compute_thresholds`` and must agree, and at every event the dual must be
 feasible with every matched edge tight.
+
+``program_proposing_reference`` is a plain program-proposing deferred
+acceptance run from a queue, ``dual_edge_sums`` recomputes every dual
+constraint of a large market, and ``cover_witness`` and ``min_cover_size``
+answer the covering side of the hardness reductions.
 """
 
 from __future__ import annotations
 
-from capmatch import Instance, Matching, NotAnEdge, metrics
+from collections import deque
+from itertools import combinations
+
+from capmatch import (
+    Instance,
+    InvalidParams,
+    Matching,
+    UncoverableElement,
+    ValidationError,
+    metrics,
+)
+from capmatch.generators import ReductionArtifact, _normalize_sets
 from capmatch.stability import _scan_blocking
 from capmatch.twocost import (
     DualState,
@@ -34,7 +50,7 @@ def roster(matching: Matching) -> dict[str, tuple[str, ...]]:
 def edge_lhs(inst: Instance, dual: DualState, agent: str, program: str) -> int:
     """Left-hand side of the dual constraint for one edge, from scratch."""
     if not inst.is_edge(agent, program):
-        raise NotAnEdge(f"({agent!r}, {program!r}) is not an edge")
+        raise ValidationError(f"({agent!r}, {program!r}) is not an edge")
     arank = inst.agent_rank[agent]
     my_rank = arank[program]
     total = dual.y[agent]
@@ -247,3 +263,100 @@ def audited_two_cost(inst: Instance):
     solution, dual = solve_two_cost(inst, emit=auditor)
     assert auditor.dual == dual
     return solution, dual, auditor
+
+
+def program_proposing_reference(inst: Instance, quotas: dict[str, int]) -> dict[str, str]:
+    """Program-proposing deferred acceptance from a queue of programs in
+    declaration order; a program that loses an agent goes back to the front.
+    Returns agent -> program in the order the agents were first matched."""
+    arank = inst.agent_rank
+    match: dict[str, str] = {}
+    used = {p: 0 for p in inst.programs}
+    next_ix = {p: 0 for p in inst.programs}
+    queue = deque(inst.programs)
+    while queue:
+        p = queue.popleft()
+        prefs = inst.program_prefs[p]
+        while used[p] < quotas[p] and next_ix[p] < len(prefs):
+            a = prefs[next_ix[p]]
+            next_ix[p] += 1
+            cur = match.get(a)
+            if cur is None or arank[a][p] < arank[a][cur]:
+                match[a] = p
+                used[p] += 1
+                if cur is not None:
+                    used[cur] -= 1
+                    queue.appendleft(cur)
+    return match
+
+
+def dual_edge_sums(inst: Instance, dual: DualState) -> dict[tuple[str, str], int]:
+    """Every edge's dual left-hand side, from ``dual`` alone: ``z`` is indexed
+    by agent once, then each agent's list is walked from its worst program
+    up, since a ``z`` raise at q pays the preferred agent's way at q and at
+    every program it likes better.  The envied agent's edge at q itself is
+    relaxed by the same amount."""
+    paid: dict[str, dict[str, int]] = {}  # preferred agent -> program -> raises
+    relaxed: dict[tuple[str, str], int] = {}  # (envied agent, program) -> raises
+    for (high, prog, low), val in dual.z.items():
+        mine = paid.setdefault(high, {})
+        mine[prog] = mine.get(prog, 0) + val
+        if low != high:
+            relaxed[(low, prog)] = relaxed.get((low, prog), 0) + val
+    out: dict[tuple[str, str], int] = {}
+    for a in inst.agents:
+        mine = paid.get(a, {})
+        running = dual.y[a]
+        for p in reversed(inst.agent_prefs[a]):
+            running += mine.get(p, 0)
+            out[(a, p)] = running - relaxed.get((a, p), 0)
+    return out
+
+
+def cover_witness(artifact: ReductionArtifact, cover) -> Matching:
+    """The matching a cover induces: open each chosen set's program fully.
+
+    Dummies of chosen sets move to the set program, all other dummies take
+    their private fallback, and each element goes to its most preferred
+    opened set program.  InvalidParams if ``cover`` misses an element.
+    """
+    chosen = set(cover)
+    sets = artifact.meta["sets"]
+    width = artifact.meta["dummies_per_set"]
+    for j in chosen:
+        if not 1 <= j <= len(sets):
+            raise InvalidParams(f"cover names unknown set {j}")
+    assignment: dict[str, str] = {}
+    inst = artifact.instance
+    for j in range(1, len(sets) + 1):
+        target = f"c{j}" if j in chosen else None
+        for slot in range(1, width + 1):
+            u = f"u{j}_{slot}"
+            assignment[u] = target if target else f"w{j}_{slot}"
+    n_elem = artifact.meta["universe"]
+    for e in range(1, n_elem + 1):
+        a = f"a{e}"
+        pick = next((p for p in inst.agent_prefs[a]
+                     if int(p[1:]) in chosen), None)
+        if pick is None:
+            raise InvalidParams(f"cover does not cover element {e}")
+        assignment[a] = pick
+    return Matching({a: assignment[a] for a in inst.agents})
+
+
+def min_cover_size(universe_size: int, sets) -> int:
+    """Smallest number of sets covering the universe (exhaustive; small m)."""
+    normalized = _normalize_sets(universe_size, sets)
+    everything = set(range(1, universe_size + 1))
+    covered = set().union(*[set(s) for s in normalized]) if normalized else set()
+    if covered != everything:
+        missing = min(everything - covered)
+        raise UncoverableElement(f"element {missing} is in no set")
+    for size in range(0, len(normalized) + 1):
+        for combo in combinations(range(len(normalized)), size):
+            union = set()
+            for ix in combo:
+                union.update(normalized[ix])
+            if union == everything:
+                return size
+    raise RuntimeError("unreachable: full collection covers the universe")

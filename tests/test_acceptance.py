@@ -19,15 +19,10 @@ from math import ceil
 import pytest
 
 from capmatch import Matching, metrics
-from capmatch.generators import (
-    from_set_cover,
-    from_vertex_cover,
-    min_cover_size,
-    random_instance,
-)
+from capmatch.generators import from_set_cover, from_vertex_cover, random_instance
 from capmatch.minmax import candidate_costs, feasible_at, solve_minmax
 from capmatch.minsum import PROMOTE, lp_approx_run, solve_p_approx
-from capmatch.oracle import OracleLimits, brute_force_minmax, brute_force_minsum
+from capmatch.oracle import brute_force_minmax, brute_force_minsum
 from capmatch.stability import (
     AGENT_PROPOSING,
     PROGRAM_PROPOSING,
@@ -40,7 +35,7 @@ from capmatch.stability import (
 from capmatch.twocost import check_dual_feasible, solve_two_cost
 
 from conftest import random_envy_free_matching
-from oracles import audited_two_cost, edge_lhs
+from oracles import audited_two_cost, edge_lhs, min_cover_size
 
 N_RANDOM = 500
 N_REDUCTIONS = 100
@@ -218,7 +213,6 @@ def test_acceptance_5_invariant_suites(announce):
 def test_acceptance_6_reduction_soundness(announce):
     with reported(announce, "6 reduction soundness"):
         rng = random.Random(1601)
-        limits = OracleLimits(10**8)
         for _ in range(N_REDUCTIONS):
             n = rng.randint(1, 4)
             m = rng.randint(1, 4)
@@ -230,7 +224,7 @@ def test_acceptance_6_reduction_soundness(announce):
             smallest = min_cover_size(n, sets)
             artifact = from_set_cover(n, sets, smallest)
             assert artifact.budget == (smallest + 1) * n
-            opt = brute_force_minsum(artifact.instance, limits).total_cost
+            opt = brute_force_minsum(artifact.instance, limit=10**8).total_cost
             assert opt <= (smallest + 1) * n
             for k in range(1, smallest):
                 assert opt > (k + 1) * n

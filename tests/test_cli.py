@@ -357,3 +357,88 @@ def test_reduce_vertexcover_custom_eps(instance_file, tmp_path, capsys):
     meta = json.loads(capsys.readouterr().out)
     assert meta["dummies_per_set"] == 4  # ceil(2*1*(2/3)/(1/3))
     assert meta["budget"] == 5
+
+
+# The reduce commands' stdout, byte for byte: ``json.dumps(..., indent=2)``
+# of the budget and the artifact's meta, whose tuples print as lists.
+EXPECTED_SETCOVER_META = """\
+{
+  "budget": 4,
+  "source": "set_cover",
+  "universe": 2,
+  "sets": [
+    [
+      1,
+      2
+    ],
+    [
+      2
+    ]
+  ],
+  "k": 1,
+  "dummies_per_set": 2
+}
+"""
+
+EXPECTED_VERTEXCOVER_META = """\
+{
+  "budget": 27,
+  "source": "vertex_cover",
+  "vertices": 3,
+  "graph_edges": [
+    [
+      1,
+      2
+    ],
+    [
+      2,
+      3
+    ],
+    [
+      1,
+      3
+    ]
+  ],
+  "universe": 3,
+  "sets": [
+    [
+      1,
+      3
+    ],
+    [
+      1,
+      2
+    ],
+    [
+      2,
+      3
+    ]
+  ],
+  "k": 2,
+  "eps": "1/3",
+  "dummies_per_set": 12
+}
+"""
+
+
+def test_reduce_setcover_stdout_is_pinned(instance_file, tmp_path, capsys):
+    path = instance_file("2 1\n1 2\n2\n", "cover.txt")
+    assert main(["reduce", "setcover", "--in", path,
+                 "--out", str(tmp_path / "r.txt")]) == 0
+    assert capsys.readouterr().out == EXPECTED_SETCOVER_META
+
+
+def test_reduce_vertexcover_stdout_is_pinned(instance_file, tmp_path, capsys):
+    path = instance_file("3\n1 2\n2 3\n1 3\n", "graph.txt")
+    assert main(["reduce", "vertexcover", "--in", path, "--k", "2",
+                 "--eps", "1/3", "--out", str(tmp_path / "r.txt")]) == 0
+    assert capsys.readouterr().out == EXPECTED_VERTEXCOVER_META
+
+
+def test_solve_oracle_limit_error_line_is_pinned(instance_file, capsys):
+    path = instance_file(BINARY_COST_TEXT)
+    assert main(["solve", "--alg", "oracle-minsum", "--in", path,
+                 "--limit", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: search space 27 exceeds limit 1\n"

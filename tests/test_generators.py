@@ -14,10 +14,8 @@ from capmatch import (
     serialize_instance,
 )
 from capmatch.generators import (
-    cover_witness,
     from_set_cover,
     from_vertex_cover,
-    min_cover_size,
     random_instance,
     read_graph,
     read_set_cover,
@@ -26,6 +24,7 @@ from capmatch.model import solution_cost
 from capmatch.stability import is_stable_augmented
 
 from conftest import find_envy
+from oracles import cover_witness, min_cover_size
 
 
 def _admits_master_list(lists) -> bool:

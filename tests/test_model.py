@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 
 from capmatch import (
-    EmptyPreferenceList,
     Instance,
     InvalidMatching,
     Matching,
     ParseError,
+    UnmatchableAgent,
     ValidationError,
     least_cost_program,
     metrics,
@@ -127,7 +127,7 @@ def test_least_cost_program(binary_cost, cascade):
 def test_least_cost_program_empty_list():
     inst = Instance(("a1",), ("p1",), {"a1": ()}, {"p1": ()},
                     {"p1": 0}, {"p1": 0})
-    with pytest.raises(EmptyPreferenceList):
+    with pytest.raises(UnmatchableAgent):
         least_cost_program(inst, "a1")
 
 

@@ -11,7 +11,7 @@ import pytest
 from capmatch import InstanceTooLarge, Matching, UnmatchableAgent
 from capmatch.generators import random_instance
 from capmatch.model import Instance, solution_cost
-from capmatch.oracle import OracleLimits, brute_force_minmax, brute_force_minsum
+from capmatch.oracle import brute_force_minmax, brute_force_minsum
 from capmatch.stability import is_stable_augmented
 
 
@@ -77,9 +77,9 @@ def test_lexicographic_tie_break():
 def test_search_space_limit(binary_cost):
     # 3 * 3 * 3 = 27 assignments
     with pytest.raises(InstanceTooLarge):
-        brute_force_minsum(binary_cost, OracleLimits(max_search_space=26))
+        brute_force_minsum(binary_cost, limit=26)
     assert brute_force_minsum(
-        binary_cost, OracleLimits(max_search_space=27)).total_cost == 2
+        binary_cost, limit=27).total_cost == 2
 
 
 def test_unmatchable_agent():

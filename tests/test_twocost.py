@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from capmatch import Instance, Matching, NotAnEdge, PreconditionViolated, metrics
+from capmatch import Instance, Matching, PreconditionViolated, ValidationError, metrics
 from capmatch.generators import random_instance
 from capmatch.oracle import brute_force_minsum
 from capmatch.twocost import DualState, check_dual_feasible, solve_two_cost
@@ -17,6 +17,7 @@ from oracles import (
     TwoCostAuditor,
     audited_two_cost,
     compute_thresholds,
+    dual_edge_sums,
     edge_lhs,
     free_promotions,
 )
@@ -53,7 +54,7 @@ def test_edge_lhs_after_z_raise(binary_cost):
 
 
 def test_edge_lhs_rejects_non_edges(binary_cost):
-    with pytest.raises(NotAnEdge):
+    with pytest.raises(ValidationError):
         edge_lhs(binary_cost, _zero_dual(binary_cost), "a1", "p3")
 
 
@@ -200,6 +201,34 @@ def test_random_runs_keep_all_promises():
         opt = brute_force_minsum(inst).total_cost
         assert check.objective <= opt          # weak duality
         assert solution.total_cost <= longest * opt
+
+
+def test_dual_edge_sums_agree_with_edge_lhs():
+    rng = random.Random(2718)
+    for trial in range(100):
+        inst = random_instance(rng.randint(1, 8), rng.randint(1, 5), 4, (0,),
+                               COST_PAIRS[trial % len(COST_PAIRS)],
+                               seed=rng.randrange(10**6))
+        _, dual = solve_two_cost(inst)
+        assert dual_edge_sums(inst, dual) == {
+            (a, p): edge_lhs(inst, dual, a, p)
+            for a in inst.agents for p in inst.agent_prefs[a]}
+
+
+def test_dual_certificate_at_20k_agents():
+    inst = random_instance(20_000, 4_000, 4, (0,), (1, 3), seed=5)
+    solution, dual = solve_two_cost(inst)
+    assert solution.a_perfect
+    lhs = dual_edge_sums(inst, dual)
+    cost = inst.cost
+    assert len(lhs) == metrics(inst).edges
+    assert all(v >= 0 for v in dual.z.values())
+    assert all(v <= cost[p] for (_, p), v in lhs.items())  # dual feasible
+    assert all(lhs[(a, p)] == cost[p]  # every matched edge tight
+               for a, p in solution.matching.assignment.items())
+    assert solution.dual_objective == sum(dual.y.values())
+    longest = metrics(inst).max_agent_list
+    assert solution.total_cost <= longest * solution.dual_objective
 
 
 def test_audit_flags_envy_between_matched_agents_only():
