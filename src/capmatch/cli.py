@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 from pathlib import Path
 
 from .errors import (
@@ -38,6 +39,9 @@ from .model import parse_instance, serialize_instance, solution_to_json
 from .oracle import DEFAULT_LIMIT, brute_force_minmax, brute_force_minsum
 from .stability import verify_solution
 from .twocost import solve_two_cost
+
+# Entries of a flat dict that one encoder call takes in _indented_json.
+_JSON_SLICE = 4096
 
 ALGORITHMS = ("minmax", "psum", "lp", "twocost", "oracle-minsum", "oracle-minmax")
 
@@ -169,12 +173,18 @@ def _indented_json(value, depth: int = 0) -> str:
         rows = json.dumps(value, separators=("\0", ": "))[2:-2]
         rows = rows.replace("}\0{", f"{pad}}},{pad}{{{pad}  ").replace("\0", f",{pad}  ")
         return f"[{pad}{{{pad}  {rows}{pad}}}{pad[:-2]}]"
+    sep = "," + pad
     if {dict, list} & set(map(type, value.values())):
-        body = f",{pad}".join(f"{json.dumps(k)}: {_indented_json(v, depth + 1)}"
-                              for k, v in value.items())
+        body = sep.join(f"{json.dumps(k)}: {_indented_json(v, depth + 1)}"
+                        for k, v in value.items())
     else:
-        body = json.dumps(value, separators=("," + pad, ": "))[1:-1]
-    return "{" + pad + body + pad[:-2] + "}"
+        # The encoder holds every key and value it encodes until its call
+        # returns, so a large flat dict is encoded a slice at a time.
+        items = iter(value.items())
+        body = sep.join([json.dumps(dict(islice(items, _JSON_SLICE)),
+                                    separators=(sep, ": "))[1:-1]
+                         for _ in range(0, len(value), _JSON_SLICE)])
+    return f"{{{pad}{body}{pad[:-2]}}}"
 
 
 def run_verify(args: argparse.Namespace) -> int:

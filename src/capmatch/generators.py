@@ -67,7 +67,11 @@ def random_instance(n_agents: int, n_programs: int, max_list: int,
     agents = [f"a{i}" for i in range(1, n_agents + 1)]
     programs = [f"p{j}" for j in range(1, n_programs + 1)]
     prog_master = {p: i for i, p in enumerate(rng.sample(programs, n_programs))}
-    agent_master = {a: i for i, a in enumerate(rng.sample(agents, n_agents))}
+    # drawn with or without master lists, so that a seed's later draws stay
+    # the same; the index over every agent is built only when used
+    agent_order = rng.sample(agents, n_agents)
+    agent_master = {a: i for i, a in enumerate(agent_order)} if master_list else {}
+    del agent_order
 
     agent_prefs: dict[str, tuple[str, ...]] = {}
     neighbors: dict[str, list[str]] = {p: [] for p in programs}
@@ -82,7 +86,7 @@ def random_instance(n_agents: int, n_programs: int, max_list: int,
 
     program_prefs: dict[str, tuple[str, ...]] = {}
     for p in programs:
-        listed = list(neighbors[p])
+        listed = neighbors.pop(p)  # each list is freed once its tuple exists
         if master_list:
             listed.sort(key=agent_master.__getitem__)
         else:

@@ -76,6 +76,7 @@ def solve_minmax(inst: Instance) -> AugmentedSolution:
             break
         best -= 1
     matching = Matching(state.assignment())
+    del state  # the certificate below builds its own proposal state
     if not matching.is_a_perfect(inst):
         raise InvariantBroken("no grid budget is feasible; instance invariant broken")
     if best and feasible_at(inst, values[best - 1]):

@@ -49,7 +49,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, islice, repeat
 from operator import contains
 from typing import NamedTuple
 
@@ -68,6 +68,9 @@ _IDENT_CHARS = re.compile(r"[A-Za-z0-9_]*\Z")
 # A q=/c= value: ASCII digits with an optional minus sign, and nothing else
 # that int() would take (a plus sign, "_" separators, non-ASCII digits).
 _INT = re.compile(r"-?[0-9]+\Z")
+
+# serialize_instance joins its lines this many at a time.
+_SERIALIZE_SLICE = 1024
 
 # Rank value larger than any real preference position; stands in for "unmatched".
 NO_RANK = 1 << 60
@@ -178,7 +181,9 @@ class Instance:
 
     @cached_property
     def agent_rank(self) -> dict[str, dict[str, int]]:
-        """``agent_rank[a][p]`` is the 0-based position of p in a's list."""
+        """``agent_rank[a][p]`` is the 0-based position of p in a's list.
+        Only ``twocost`` and the oracles build it: the other solvers read an
+        agent's own list, and edge checks read ``program_rank``."""
         return {a: {p: i for i, p in enumerate(prefs)}
                 for a, prefs in self.agent_prefs.items()}
 
@@ -349,18 +354,23 @@ def _parse_kv(token: str, key: str, lineno: int) -> int:
 
 def serialize_instance(inst: Instance) -> str:
     """Canonical text form: agent lines in order, then program lines in order;
-    an agent with an empty list has no line form (ValidationError)."""
-    lines = []
-    for a in inst.agents:
-        if not inst.agent_prefs[a]:
-            raise ValidationError(f"agent {a!r} has an empty preference list, "
-                                  "which the text format cannot express")
-        lines.append(f"agent {a} : {' '.join(inst.agent_prefs[a])}")
-    for p in inst.programs:
-        head = f"program {p} q={inst.quota[p]} c={inst.cost[p]} :"
-        prefs = inst.program_prefs[p]
-        lines.append(head + (" " + " ".join(prefs) if prefs else ""))
-    return "\n".join(lines) + ("\n" if lines else "")
+    an agent with an empty list has no line form (ValidationError).
+
+    Lines are joined ``_SERIALIZE_SLICE`` at a time, so no list holds every
+    line at once."""
+    agent_prefs, program_prefs = inst.agent_prefs, inst.program_prefs
+    if not all(agent_prefs.values()):
+        a = next(a for a in inst.agents if not agent_prefs[a])
+        raise ValidationError(f"agent {a!r} has an empty preference list, "
+                              "which the text format cannot express")
+    lines = chain(
+        (f"agent {a} : {' '.join(agent_prefs[a])}\n" for a in inst.agents),
+        (f"program {p} q={inst.quota[p]} c={inst.cost[p]} :"
+         f"{' ' if program_prefs[p] else ''}{' '.join(program_prefs[p])}\n"
+         for p in inst.programs))
+    total = len(inst.agents) + len(inst.programs)
+    return "".join(["".join(islice(lines, _SERIALIZE_SLICE))
+                    for _ in range(0, total, _SERIALIZE_SLICE)])
 
 
 def metrics(inst: Instance) -> InstanceMetrics:

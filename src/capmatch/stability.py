@@ -16,8 +16,8 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, repeat
-from operator import ne
+from itertools import compress, count, repeat
+from operator import lt, ne
 from typing import Callable
 
 from .errors import InvalidMatching, InvariantBroken, NotEnvyFree, ValidationError
@@ -237,14 +237,14 @@ def envy_free_to_stable(inst: Instance, quotas: dict[str, int], matching: Matchi
     if probe.envy_pairs:
         a, b, p = probe.envy_pairs[0]
         raise NotEnvyFree(f"agent {a!r} envies {b!r} at {p!r}")
-    return _fill_free_seats(inst, quotas, dict(matching.assignment), emit)
+    return _fill_free_seats(inst, quotas, matching.assignment, emit)
 
 
 def _fill_free_seats(inst: Instance, quotas: dict[str, int],
-                     assignment: dict[str, str],
+                     start: dict[str, str],
                      emit: Callable[[dict], None] | None) -> Matching:
-    """Program-proposing deferred acceptance from ``assignment`` (updated in
-    place): the lowest-index program with a free seat takes the first agent
+    """Program-proposing deferred acceptance from the matching ``start`` (left
+    as it is): the lowest-index program with a free seat takes the first agent
     on its list who would rather be there, until no such program is left.
 
     The moves are found from a worklist rather than by rescanning every
@@ -253,48 +253,62 @@ def _fill_free_seats(inst: Instance, quotas: dict[str, int],
     preference list.  An agent that would not rather be at p never comes to
     want p, since it only ever moves up its own list, so a cursor only moves
     forward past such agents and a program whose cursor reaches the end of
-    its list drops out for good.  A program re-enters the heap when a
-    departure brings its load down to ``quota - 1``.  That costs O(E + moves
-    * log P) for E edges and P programs, instead of O(moves * P).
+    its list drops out for good.  A program leaves the heap when it fills and
+    re-enters when a departure brings its load down to ``quota - 1``, so every
+    program in the heap has a free seat.  That costs O(E + moves * log P) for
+    E edges and P programs, instead of O(moves * P).
+
+    "Does a prefer p to its program?" is read off a's own list with
+    ``tuple.index``, so ``agent_rank`` is never built: O(position in a's
+    list) per test, faster than two dict probes on lists up to about 24 long.
     """
-    arank = inst.agent_rank
-    programs = inst.programs
-    load = dict.fromkeys(programs, 0)  # every key present: no Counter.__missing__
-    load.update(Counter(assignment.values()))
-    index = {p: i for i, p in enumerate(programs)}
+    agent_prefs, program_prefs, programs = (inst.agent_prefs, inst.program_prefs,
+                                            inst.programs)
+    # declaration order throughout, None while unmatched: no re-keying at the end
+    assignment = dict.fromkeys(inst.agents)
+    assignment.update(start)
+    # every key present (no Counter.__missing__) and in declaration order
+    load = dict.fromkeys(programs, 0)
+    load.update(Counter(start.values()))
+    index = dict(zip(programs, count()))
     cursor = [0] * len(programs)
     # built in ascending order, so already a heap
-    free = [i for i, p in enumerate(programs) if load[p] < quotas[p]]
-    edge_budget = sum(map(len, inst.agent_prefs.values()))
+    free = list(compress(count(), map(lt, load.values(),
+                                      map(quotas.__getitem__, programs))))
+    edge_budget = sum(map(len, program_prefs.values()))  # mutual: every edge once
     moves = 0
     while free:
         i = free[0]
         p = programs[i]
-        if load[p] >= quotas[p]:
-            heapq.heappop(free)
-            continue
-        prefs = inst.program_prefs[p]
+        prefs = program_prefs[p]
         for k in range(cursor[i], len(prefs)):
             a = prefs[k]
-            cur = assignment.get(a)
-            if cur is None or arank[a][p] < arank[a][cur]:
+            cur = assignment[a]
+            if cur is None:
+                break
+            mine = agent_prefs[a]
+            if mine.index(p) < mine.index(cur):
                 break
         else:  # no candidate left, and none can appear: drop p for good
             heapq.heappop(free)
             continue
         cursor[i] = k + 1  # a leaves its old seat for p and never wants p again
+        assignment[a] = p
+        load[p] += 1
+        if load[p] == quotas[p]:
+            heapq.heappop(free)  # p is still the top: any push comes after this
         if cur is not None:
             load[cur] -= 1
             if load[cur] == quotas[cur] - 1:
                 heapq.heappush(free, index[cur])
-        load[p] += 1
-        assignment[a] = p
         if emit is not None:
             emit({"agent": a, "from": cur, "to": p})
         moves += 1
         if moves > edge_budget:
             raise InvariantBroken("promotion loop exceeded the edge budget")
-    return Matching({a: assignment[a] for a in inst.agents if a in assignment})
+    if None in assignment.values():  # names are non-empty, so truthy
+        assignment = dict(compress(assignment.items(), assignment.values()))
+    return Matching(assignment)
 
 
 def build_solution(inst: Instance, matching: Matching, algorithm: str,

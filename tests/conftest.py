@@ -76,6 +76,15 @@ def small_instances(draw, max_agents=6, max_programs=5, max_list=4,
                            master_list=use_master, seed=seed)
 
 
+def long_list_market(seed, quotas=(0, 1, 2)):
+    """Seeded market of 150 agents whose lists run up to all 64 programs, so
+    many run 40 or longer: "does a prefer p to its program?" is then asked
+    deep in a's list."""
+    inst = random_instance(150, 64, 64, quotas, (0, 1, 2, 5), seed=seed)
+    assert sum(len(prefs) >= 40 for prefs in inst.agent_prefs.values()) >= 20
+    return inst
+
+
 def find_envy(inst, assignment):
     """First envy pair in ``assignment``, or None.
 

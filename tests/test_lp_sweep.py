@@ -3,6 +3,7 @@ the paper's "no envy after the sweep" on a ``market-large``-sized market."""
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +24,7 @@ from capmatch.stability import (
     gale_shapley,
 )
 
-from conftest import small_instances
+from conftest import long_list_market, small_instances
 
 
 def roster_sweep_lp_run(inst, emit):
@@ -106,6 +107,15 @@ def test_sweep_matches_roster_sweep(inst):
     steps, expected = [], []
     assert (_fields(lp_approx_run(inst, steps.append), steps)
             == _fields(roster_sweep_lp_run(inst, expected.append), expected))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sweep_matches_roster_sweep_on_long_lists(seed):
+    inst = long_list_market(seed)
+    steps, expected = [], []
+    assert (_fields(lp_approx_run(inst, steps.append), steps)
+            == _fields(roster_sweep_lp_run(inst, expected.append), expected))
+    assert {s["phase"] for s in steps} == {PROMOTE, REPAIR}
 
 
 def test_no_envy_after_sweep_at_scale():

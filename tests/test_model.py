@@ -19,7 +19,7 @@ from capmatch import (
     solution_cost,
     solution_to_json,
 )
-from capmatch.model import validate_matching
+from capmatch.model import _SERIALIZE_SLICE, validate_matching
 from capmatch.stability import build_solution
 
 from conftest import small_instances
@@ -55,6 +55,20 @@ def test_serialize_is_idempotent():
     twice = serialize_instance(parse_instance(once))
     assert once == twice
     assert once == "agent a1 : p1\nprogram p1 q=1 c=3 : a1\n"
+
+
+@pytest.mark.parametrize("lines", [_SERIALIZE_SLICE - 1, _SERIALIZE_SLICE,
+                                   _SERIALIZE_SLICE + 1, 2 * _SERIALIZE_SLICE + 1])
+def test_serialize_on_slice_edges(lines):
+    """Lines are joined ``_SERIALIZE_SLICE`` at a time; line counts on and
+    around the slice edges give the same text as one line at a time."""
+    agents = [f"a{i}" for i in range(lines // 2)]
+    programs = [f"p{j}" for j in range(lines - len(agents))]
+    text = "".join([f"agent {a} : p0\n" for a in agents]
+                   + [f"program p0 q=1 c=2 : {' '.join(agents)}\n"]
+                   + [f"program {p} q=0 c=1 :\n" for p in programs[1:]])
+    assert len(text.splitlines()) == lines
+    assert serialize_instance(parse_instance(text)) == text
 
 
 def test_empty_program_list_round_trips():

@@ -19,7 +19,7 @@ from capmatch.generators import random_instance
 from capmatch.minmax import budget_quotas, candidate_costs
 from capmatch.stability import PROGRAM_PROPOSING, gale_shapley
 
-from conftest import small_instances
+from conftest import long_list_market, small_instances
 from oracles import program_proposing_reference
 
 
@@ -42,6 +42,13 @@ def test_matches_reference_under_drawn_quotas(inst, data):
 def test_matches_reference_on_master_list_markets(seed):
     inst = random_instance(1_500, 300, 5, (0, 1, 2), (0, 1, 2, 5),
                            master_list=True, seed=seed)
+    _assert_matches_reference(inst, inst.quota)
+    _assert_matches_reference(inst, budget_quotas(inst, 2))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_matches_reference_on_long_lists(seed):
+    inst = long_list_market(seed)
     _assert_matches_reference(inst, inst.quota)
     _assert_matches_reference(inst, budget_quotas(inst, 2))
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import random
 import time
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +20,7 @@ from capmatch.stability import (
     is_stable_augmented,
 )
 
-from conftest import random_envy_free_matching, small_instances
+from conftest import long_list_market, random_envy_free_matching, small_instances
 from oracles import roster
 
 
@@ -104,6 +105,19 @@ def test_worklist_repair_matches_rescanning_loop(case):
     inst, quotas, start = case
     assert (_outcome(envy_free_to_stable, inst, quotas, start)
             == _outcome(rescan_to_stable, inst, quotas, start))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_worklist_repair_matches_rescanning_loop_on_long_lists(seed):
+    """Deferred acceptance under other quotas as the start, as in
+    ``repair_cases``, on lists up to 64 long."""
+    inst = long_list_market(seed)
+    rng = random.Random(seed)
+    start = gale_shapley(inst, {p: rng.choice((0, 1, 2, 4)) for p in inst.programs})
+    quotas = {p: rng.choice((0, 0, 1, 2, 3)) for p in inst.programs}
+    outcome = _outcome(envy_free_to_stable, inst, quotas, start)
+    assert outcome == _outcome(rescan_to_stable, inst, quotas, start)
+    assert outcome[2]
 
 
 def adversarial_market(free: int, blockers: int, chain: int) -> tuple:

@@ -1,6 +1,6 @@
 """Edge checks read off ``program_rank``: ``verify``'s report, pinned for two
 faulty solutions so that the per-pair fall-back loops keep their violation
-order, and the checks that never build ``agent_rank``."""
+order, and the checks and solvers that never build ``agent_rank``."""
 
 from __future__ import annotations
 
@@ -10,8 +10,16 @@ import pytest
 
 from capmatch import Matching, parse_instance
 from capmatch.cli import main
-from capmatch.model import validate_matching
-from capmatch.stability import is_stable_augmented
+from capmatch.generators import random_instance
+from capmatch.minmax import solve_minmax
+from capmatch.minsum import PROMOTE, REPAIR, lp_approx_run
+from capmatch.model import serialize_instance, validate_matching
+from capmatch.stability import (
+    PROGRAM_PROPOSING,
+    envy_free_to_stable,
+    gale_shapley,
+    is_stable_augmented,
+)
 
 from conftest import BINARY_COST_TEXT
 
@@ -128,4 +136,23 @@ def test_edge_checks_never_build_agent_rank():
     matching = Matching({"a1": "p2", "a2": "p0", "a3": "p1"})
     validate_matching(inst, matching, dict.fromkeys(inst.programs, 1))
     assert not is_stable_augmented(inst, matching)[0]
+    assert "agent_rank" not in vars(inst)
+
+
+def test_solvers_never_build_agent_rank():
+    """The ``lp`` run (sweep and repair both move agents here), the repair on
+    its own, program-proposing deferred acceptance and ``minmax`` answer
+    "does a prefer p?" from a's own list."""
+    inst = parse_instance(serialize_instance(
+        random_instance(400, 80, 6, (0, 1, 2), (0, 1, 2, 5), seed=77)))
+    steps: list = []
+    lp_approx_run(inst, steps.append)
+    assert {s["phase"] for s in steps} == {PROMOTE, REPAIR}
+    start = gale_shapley(inst, inst.quota)
+    moves: list = []
+    envy_free_to_stable(inst, {p: q + 1 for p, q in inst.quota.items()}, start,
+                        moves.append)
+    assert moves
+    assert gale_shapley(inst, inst.quota, PROGRAM_PROPOSING).assignment
+    solve_minmax(inst)
     assert "agent_rank" not in vars(inst)

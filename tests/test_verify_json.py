@@ -10,11 +10,12 @@ import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capmatch import Matching
-from capmatch.cli import _indented_json, main
+from capmatch.cli import _JSON_SLICE, _indented_json, main
 from capmatch.model import serialize_instance, solution_to_json
 from capmatch.stability import build_solution
 
@@ -54,6 +55,17 @@ SOLUTIONS = st.fixed_dictionaries({
 @settings(max_examples=200, deadline=None)
 @given(SOLUTIONS)
 def test_solution_rendering_equals_indented_dumps(doc):
+    assert _indented_json(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("size", [_JSON_SLICE - 1, _JSON_SLICE, _JSON_SLICE + 1,
+                                  2 * _JSON_SLICE + 1])
+def test_flat_dicts_on_slice_edges_equal_indented_dumps(size):
+    """A flat dict is encoded ``_JSON_SLICE`` entries at a time; sizes on
+    and around the slice edges join back to one ``dumps`` call's text."""
+    flat = {f"a{i}" if i % 5 else f"\u00e9\"{i}\0": f"p{i % 7}" for i in range(size)}
+    assert _indented_json(flat) == json.dumps(flat, indent=2)
+    doc = {"matching": flat, "augmentation": {"p1": 2}, "total_cost": size}
     assert _indented_json(doc) == json.dumps(doc, indent=2)
 
 
