@@ -72,9 +72,6 @@ _INT = re.compile(r"-?[0-9]+\Z")
 # serialize_instance joins its lines this many at a time.
 _SERIALIZE_SLICE = 1024
 
-# Rank value larger than any real preference position; stands in for "unmatched".
-NO_RANK = 1 << 60
-
 
 @dataclass(frozen=True)
 class Instance:
@@ -182,8 +179,8 @@ class Instance:
     @cached_property
     def agent_rank(self) -> dict[str, dict[str, int]]:
         """``agent_rank[a][p]`` is the 0-based position of p in a's list.
-        Only ``twocost`` and the oracles build it: the other solvers read an
-        agent's own list, and edge checks read ``program_rank``."""
+        In ``src/`` only the oracle builds it: the solvers read an agent's
+        own list, and edge checks read ``program_rank``."""
         return {a: {p: i for i, p in enumerate(prefs)}
                 for a, prefs in self.agent_prefs.items()}
 

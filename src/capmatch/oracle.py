@@ -7,6 +7,23 @@ Envy between already-placed agents only gets worse as an assignment is
 extended, so envious prefixes are pruned; partial cost is monotone too, which
 gives a sound branch-and-bound.  The first optimum found is the
 lexicographically smallest, making results deterministic.
+
+A leaf is only checked for envy, never for an under-filled program that
+an agent prefers to its seat (the other way to block), because no such
+leaf can survive the bound.  Choice vectors are visited in lexicographic
+order and a leaf costing at least the best cost so far is pruned.  Take an
+envy-free leaf where some program p has fewer agents than its quota and an
+agent that would rather be at p.  Move p's threshold agent (the one p
+likes best among those that would rather be there) into the free seat.
+The load at p stays within its quota and the load it left only shrinks,
+so the cost does not rise under either objective.  The mover improves, so
+it envies nobody it did not envy before; nobody p prefers to it wants p;
+and the seat it leaves creates no envy.  The new leaf is therefore
+envy-free, and its choice vector is lexicographically smaller.  Every move
+improves an agent, so repeating it ends at a stable leaf that comes
+earlier and costs no more.  The search reaches that leaf, or prunes one of
+its prefixes at a cost no larger (envy never prunes it), before the
+blocked leaf, so the bound prunes the blocked leaf.
 """
 
 from __future__ import annotations
@@ -60,7 +77,6 @@ def _search(inst: Instance, objective: str) -> tuple[int, tuple[int, ...]] | Non
     prank = inst.program_rank
     quota = inst.quota
     cost = inst.cost
-    any_quota = any(quota[p] > 0 for p in inst.programs)
     summing = objective == MINSUM
 
     best_cost: int | None = None
@@ -69,19 +85,6 @@ def _search(inst: Instance, objective: str) -> tuple[int, tuple[int, ...]] | Non
     choices: list[int] = []
     at: dict[str, list[str]] = {p: [] for p in inst.programs}  # agents placed
     position = {a: i for i, a in enumerate(agents)}
-
-    def leaf_ok() -> bool:
-        if not any_quota:
-            return True
-        # an under-filled program an agent prefers over its seat would block
-        for i, a in enumerate(agents):
-            my_rank = arank[a][placed[i]]
-            for p in prefs[i]:
-                if arank[a][p] >= my_rank:
-                    break
-                if len(at[p]) < quota[p]:
-                    return False
-        return True
 
     def envious(a: str, p: str, better: tuple[str, ...], depth: int) -> bool:
         """Would placing a at p create envy with an agent already placed?
@@ -138,8 +141,7 @@ def _search(inst: Instance, objective: str) -> tuple[int, tuple[int, ...]] | Non
             untried.append(iter(range(len(prefs[depth + 1]))))
             partials.append(nxt)
             continue
-        if leaf_ok():
-            best_cost, best_choices = nxt, tuple(choices)
+        best_cost, best_choices = nxt, tuple(choices)
         choices.pop()
         placed.pop()
         at[p].pop()

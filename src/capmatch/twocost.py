@@ -7,21 +7,28 @@ of edge (a, p) sums ``y_a``, every ``z`` where a is the preferred agent at p
 or a worse-ranked program, minus every ``z`` where a is the envied agent at p
 itself; feasibility means no constraint exceeds the seat cost.
 
-The solver matches what it can at the cheap cost, then repeatedly raises the
-``y`` of the first unmatched agent.  Tight edges whose program would rather
-have this agent are taken directly; otherwise the algorithm pays another
-agent's way up (a ``z`` raise) which tightens that agent's better edges and
-frees a seat chain.  Free promotions (matching a tight edge whose program's
-threshold agent is exactly the mover) are applied exhaustively after every
-change.  Matched edges stay tight throughout, which at termination turns the
-dual objective into a cost certificate: total cost is at most the longest
-agent list times the sum of the ``y`` values, which never exceeds the
-optimum.
+The solver matches what it can at the cheap cost, then serves the first
+unmatched agent with one step loop.  Each step raises one dual.  While the
+selected agent has *candidates* (tight edges to programs it prefers whose
+threshold is another agent), the step pays that helper's way up with a
+``z`` raise, which tightens the helper's better edges and frees a seat
+chain; otherwise it raises the selected agent's ``y``.  The raised agent
+then moves along its matchable edge, if it has one (the helper always
+does), and free promotions (matching a tight edge whose program's
+threshold agent is exactly the mover) are applied exhaustively.  The
+candidates are recomputed after every step except a direct move of the
+selected agent, and the agent is served once it is matched with no
+candidates left.  Matched edges stay tight throughout, which at termination
+turns the dual objective into a cost certificate: total cost is at most the
+longest agent list times the sum of the ``y`` values, which never exceeds
+the optimum.
 
 Bookkeeping is incremental: a step costs work proportional to what it
 changes.  Edge left-hand sides are cached, thresholds are cursors and free
 promotions come off a heap (``_Promoter``); the terminal check recomputes
-every edge from the dual alone in one pass over ``z``.
+every edge from the dual alone in one pass over ``z``.  "Does a prefer p to
+q?" is answered from a's own preference tuple (``tuple.index``), so no
+agent-side rank table is built: O(position in a's list) per question.
 
 With fewer than two distinct costs every A-perfect matching costs the same,
 so the solver just hands each agent its first choice.
@@ -34,14 +41,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from .errors import InvariantBroken, PreconditionViolated
-from .model import (
-    NO_RANK,
-    AugmentedSolution,
-    Instance,
-    Matching,
-    metrics,
-    require_all_matchable,
-)
+from .model import AugmentedSolution, Instance, Matching, metrics, require_all_matchable
 from .stability import build_solution
 
 
@@ -55,8 +55,6 @@ class DualState:
 
     y: dict[str, int]
     z: dict[tuple[str, str, str], int] = field(default_factory=dict)
-    c1: int = 0
-    c2: int = 0
 
 
 class DualCheck(NamedTuple):
@@ -85,20 +83,18 @@ def _lhs_values(inst: Instance, dual: DualState) -> list[int]:
     """The dual constraint's left-hand side of every edge in ``_edges`` order,
     from one agent-indexed pass over ``z``: O(edges + |z| * longest list)
     rather than one pass over ``z`` per edge."""
-    arank = inst.agent_rank
+    prefs = inst.agent_prefs
     out: list[int] = []
     first: dict[str, int] = {}  # agent -> index of its top edge in ``out``
     for a in inst.agents:
         first[a] = len(out)
-        out.extend([dual.y[a]] * len(inst.agent_prefs[a]))
+        out.extend([dual.y[a]] * len(prefs[a]))
     for (high, prog, low), val in dual.z.items():
-        r = arank.get(high, {}).get(prog)
-        if r is not None:  # high's edges at prog and every program it prefers
-            for k in range(first[high], first[high] + r + 1):
+        if prog in prefs.get(high, ()):  # high's edges at prog and above
+            for k in range(first[high], first[high] + prefs[high].index(prog) + 1):
                 out[k] += val
-        r = arank.get(low, {}).get(prog)
-        if r is not None and low != high:
-            out[first[low] + r] -= val
+        if low != high and prog in prefs.get(low, ()):
+            out[first[low] + prefs[low].index(prog)] -= val
     return out
 
 
@@ -120,11 +116,11 @@ class _Promoter:
     """
 
     def __init__(self, inst: Instance, assignment: dict[str, str],
-                 tight: Callable[[str, str], bool],
+                 lhs: dict[tuple[str, str], int],
                  emit: Callable[[dict], None] | None) -> None:
         self.inst = inst
         self.assignment = assignment
-        self.tight = tight
+        self.lhs = lhs
         self.emit = emit
         self.edge_budget = metrics(inst).edges + 1
         self.index = {a: i for i, a in enumerate(inst.agents)}
@@ -149,10 +145,23 @@ class _Promoter:
     def _wants(self, a: str, p: str) -> bool:
         """Whether a is unmatched or would rather be at p than where it is."""
         cur = self.assignment.get(a)
-        return cur is None or self.inst.agent_rank[a][p] < self.inst.agent_rank[a][cur]
+        mine = self.inst.agent_prefs[a]
+        return cur is None or mine.index(p) < mine.index(cur)
+
+    def tight(self, a: str, p: str) -> bool:
+        return self.lhs[(a, p)] == self.inst.cost[p]
 
     def touch(self, a: str) -> None:
         heapq.heappush(self.heap, self.index[a])
+
+    def candidates(self, a: str) -> list[str]:
+        """Programs a strictly prefers whose edge is tight and threshold is
+        another agent."""
+        mine = self.inst.agent_prefs[a]
+        cur = self.assignment.get(a)
+        better = mine if cur is None else mine[:mine.index(cur)]
+        return [p for p in better
+                if self.thresh[p] not in (None, a) and self.tight(a, p)]
 
     def matchable(self, a: str) -> str | None:
         """a's most preferred tight edge whose threshold is a, if any."""
@@ -218,25 +227,17 @@ def solve_two_cost(inst: Instance, emit: Callable[[dict], None] | None = None
 
     c1, c2 = distinct
     gap = c2 - c1
-    cost = inst.cost
-    arank = inst.agent_rank
-    dual = DualState(y={a: c1 for a in inst.agents}, z={}, c1=c1, c2=c2)
-    lhs: dict[tuple[str, str], int] = {}
-    for a in inst.agents:
-        for p in inst.agent_prefs[a]:
-            lhs[(a, p)] = c1
-
-    def tight(a: str, p: str) -> bool:
-        return lhs[(a, p)] == cost[p]
-
+    prefs = inst.agent_prefs
+    dual = DualState(y=dict.fromkeys(inst.agents, c1))
+    lhs = dict.fromkeys(_edges(inst), c1)
     assignment: dict[str, str] = {}
     for a in inst.agents:
-        pick = next((p for p in inst.agent_prefs[a] if cost[p] == c1), None)
+        pick = next((p for p in prefs[a] if inst.cost[p] == c1), None)
         if pick is not None:
             assignment[a] = pick
     if emit is not None:
         emit({"event": "init", "matching": dict(assignment)})
-    promoter = _Promoter(inst, assignment, tight, emit)
+    promoter = _Promoter(inst, assignment, lhs, emit)
     thresh = promoter.thresh
     if emit is not None:
         emit({"event": "thresholds", "map": dict(thresh)})
@@ -250,58 +251,44 @@ def solve_two_cost(inst: Instance, emit: Callable[[dict], None] | None = None
         a = inst.agents[first_free]
         if emit is not None:
             emit({"event": "select", "agent": a})
-        while a not in assignment:
+        candidates: list[str] = []
+        while candidates or a not in assignment:
             spent += 1
             if spent > budget:
                 raise InvariantBroken("two-cost solver exceeded its step budget")
-            dual.y[a] += gap
-            for p in inst.agent_prefs[a]:
-                lhs[(a, p)] += gap
-            promoter.touch(a)
-            if emit is not None:
-                emit({"event": "y_update", "agent": a, "value": dual.y[a],
-                      "tight": [p for p in inst.agent_prefs[a] if tight(a, p)]})
-            direct = promoter.matchable(a)
-            if direct is not None:
-                promoter.move(a, direct)
-                if emit is not None:
-                    emit({"event": "promote", "agent": a,
-                          "source": None, "target": direct})
-                promoter.run()
-                continue
-            candidates = _candidate_programs(inst, lhs, thresh, assignment, a)
-            if emit is not None:
-                emit({"event": "candidates", "agent": a, "programs": candidates})
-            while candidates:
-                spent += 1
-                if spent > budget:
-                    raise InvariantBroken("two-cost solver exceeded its step budget")
-                helper = thresh[candidates[0]]
-                group = [p for p in candidates if thresh[p] == helper]
-                pz = max(group, key=lambda p: arank[helper][p])
-                key = (helper, pz, a)
+            if candidates:  # pay the way up of the first candidate's threshold
+                mover = thresh[candidates[0]]
+                mine = prefs[mover]
+                pz = max((p for p in candidates if thresh[p] == mover), key=mine.index)
+                key = (mover, pz, a)
                 dual.z[key] = dual.z.get(key, 0) + gap
-                pz_rank = arank[helper][pz]
-                for p in inst.agent_prefs[helper]:
-                    if arank[helper][p] <= pz_rank:
-                        lhs[(helper, p)] += gap
+                raised = mine[:mine.index(pz) + 1]
                 lhs[(a, pz)] -= gap
-                promoter.touch(helper)
                 promoter.touch(a)
+                event = {"event": "z_update", "preferred": mover, "program": pz,
+                         "agent": a, "value": dual.z[key]}
+            else:
+                mover = a
+                dual.y[a] += gap
+                raised = prefs[a]
+                event = {"event": "y_update", "agent": a, "value": dual.y[a]}
+            for p in raised:
+                lhs[(mover, p)] += gap
+            promoter.touch(mover)
+            if emit is not None:
+                event["tight"] = [p for p in prefs[mover] if promoter.tight(mover, p)]
+                emit(event)
+            dest = promoter.matchable(mover)
+            if dest is not None:
+                old = promoter.move(mover, dest)
                 if emit is not None:
-                    emit({"event": "z_update", "preferred": helper,
-                          "program": pz, "agent": a, "value": dual.z[key],
-                          "tight": [p for p in inst.agent_prefs[helper]
-                                    if tight(helper, p)]})
-                dest = promoter.matchable(helper)
-                if dest is None:
-                    raise InvariantBroken("helper agent has no matchable edge")
-                old = promoter.move(helper, dest)
-                if emit is not None:
-                    emit({"event": "promote", "agent": helper,
+                    emit({"event": "promote", "agent": mover,
                           "source": old, "target": dest})
                 promoter.run()
-                candidates = _candidate_programs(inst, lhs, thresh, assignment, a)
+            elif mover != a:
+                raise InvariantBroken("helper agent has no matchable edge")
+            if mover != a or dest is None:  # not a direct move of a
+                candidates = promoter.candidates(a)
                 if emit is not None:
                     emit({"event": "candidates", "agent": a, "programs": candidates})
 
@@ -309,22 +296,6 @@ def solve_two_cost(inst: Instance, emit: Callable[[dict], None] | None = None
     if emit is not None:
         emit({"event": "done", "matching": dict(matching.assignment)})
     return _finish(inst, dual, matching)
-
-
-def _candidate_programs(inst: Instance, lhs: dict, thresh: dict,
-                        assignment: dict[str, str], a: str) -> list[str]:
-    """Programs a strictly prefers whose edge is tight and threshold is not a."""
-    arank = inst.agent_rank[a]
-    cur = assignment.get(a)
-    cur_rank = arank[cur] if cur is not None else NO_RANK
-    out = []
-    for p in inst.agent_prefs[a]:
-        if arank[p] >= cur_rank:
-            break
-        t = thresh[p]
-        if t is not None and t != a and lhs[(a, p)] == inst.cost[p]:
-            out.append(p)
-    return out
 
 
 def _uniform_cost(inst: Instance, distinct: list[int],
@@ -336,7 +307,7 @@ def _uniform_cost(inst: Instance, distinct: list[int],
     assignment = {a: inst.agent_prefs[a][0] for a in inst.agents}
     if emit is not None:
         emit({"event": "init", "matching": dict(assignment)})
-    dual = DualState(y={a: c for a in inst.agents}, z={}, c1=c, c2=c)
+    dual = DualState(y=dict.fromkeys(inst.agents, c))
     matching = Matching(assignment)
     if emit is not None:
         emit({"event": "done", "matching": dict(assignment)})

@@ -88,9 +88,8 @@ def free_promotions(inst: Instance, dual: DualState, matching: Matching) -> Matc
     edge moves along its most preferred one.  The input must be envy-free;
     the result does not depend on application order."""
     assignment = dict(matching.assignment)
-    tight = {edge for edge, v in zip(_edges(inst), _lhs_values(inst, dual))
-             if v == inst.cost[edge[1]]}
-    _Promoter(inst, assignment, lambda a, p: (a, p) in tight, None).run()
+    _Promoter(inst, assignment, dict(zip(_edges(inst), _lhs_values(inst, dual))),
+              None).run()
     return Matching({a: assignment[a] for a in inst.agents if a in assignment})
 
 
@@ -113,8 +112,7 @@ class TwoCostAuditor:
         costs = sorted(set(inst.cost.values())) or [0]
         self.c1 = costs[0]
         self.gap = costs[-1] - costs[0]
-        self.dual = DualState(y=dict.fromkeys(inst.agents, self.c1), z={},
-                              c1=self.c1, c2=costs[-1])
+        self.dual = DualState(y=dict.fromkeys(inst.agents, self.c1), z={})
         self.assignment: dict[str, str] = {}
         self.events: list[dict] = []
         self.selected: str | None = None

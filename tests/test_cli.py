@@ -130,6 +130,28 @@ def test_solve_broken_invariant_exits_one_without_traceback(
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("guard", ["step-budget", "stuck-helper"])
+def test_solve_twocost_guards_exit_one(instance_file, capsys, monkeypatch,
+                                       guard):
+    """Both loop guards of ``solve_two_cost``, forced by a ``_Promoter`` that
+    withholds moves, end in exit 1 with one ``error:`` line."""
+    import capmatch.twocost as twocost
+
+    promoter = twocost._Promoter
+    matchable = promoter.matchable
+    if guard == "step-budget":  # a3's y rises forever: no move, no candidates
+        monkeypatch.setattr(promoter, "matchable", lambda self, a: None)
+        monkeypatch.setattr(promoter, "candidates", lambda self, a: [])
+        message = "two-cost solver exceeded its step budget"
+    else:  # the z raise pays a1's way up, but a1 may not take a seat
+        monkeypatch.setattr(promoter, "matchable", lambda self, a:
+                            None if a == "a1" else matchable(self, a))
+        message = "helper agent has no matchable edge"
+    path = instance_file(BINARY_COST_TEXT)
+    assert main(["solve", "--alg", "twocost", "--in", path]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_solve_oracle_limit_exit(instance_file, capsys):
     path = instance_file(BINARY_COST_TEXT)
     assert main(["solve", "--alg", "oracle-minsum", "--in", path,

@@ -49,15 +49,18 @@ def test_oracle_solutions_are_certified(binary_cost, cascade, contested_seat):
 
 
 def test_matches_unpruned_enumeration():
+    """The search checks leaves for envy only; every solution it returns must
+    still be A-perfect and stable (the module docstring says why)."""
     rng = random.Random(371)
     for _ in range(60):
         inst = random_instance(rng.randint(1, 5), rng.randint(1, 4), 3,
                                (0, 1, 2), (0, 1, 2, 5),
                                seed=rng.randrange(10**6))
-        assert brute_force_minsum(inst).total_cost == \
-            exhaustive_optimum(inst, "sum")
-        assert brute_force_minmax(inst).max_cost == \
-            exhaustive_optimum(inst, "max")
+        minsum, minmax = brute_force_minsum(inst), brute_force_minmax(inst)
+        assert minsum.total_cost == exhaustive_optimum(inst, "sum")
+        assert minmax.max_cost == exhaustive_optimum(inst, "max")
+        for sol in (minsum, minmax):
+            assert sol.a_perfect and sol.stable
 
 
 def test_lexicographic_tie_break():

@@ -24,7 +24,7 @@ from oracles import (
 
 
 def _zero_dual(inst):
-    return DualState(y={a: 0 for a in inst.agents}, z={}, c1=0, c2=1)
+    return DualState(y={a: 0 for a in inst.agents}, z={})
 
 
 def test_edge_lhs_initial(binary_cost):
@@ -108,7 +108,7 @@ def test_thresholds(binary_cost):
 def test_free_promotions_result_is_order_independent():
     inst = random_instance(2, 2, 2, (0,), (0,), seed=3)
     # costs are all zero so every edge is tight; nobody is matched yet
-    dual = DualState(y={a: 0 for a in inst.agents}, z={}, c1=0, c2=0)
+    dual = DualState(y={a: 0 for a in inst.agents}, z={})
     out = free_promotions(inst, dual, Matching({}))
     # replay by hand, deliberately picking moves from the back of the list
     assignment: dict = {}
@@ -201,6 +201,19 @@ def test_random_runs_keep_all_promises():
         opt = brute_force_minsum(inst).total_cost
         assert check.objective <= opt          # weak duality
         assert solution.total_cost <= longest * opt
+
+
+def test_audited_runs_on_long_lists():
+    """Lists of up to 64 programs: every rank test reads an agent's own
+    tuple, and the auditor recomputes each decision with ``agent_rank``."""
+    z_raises = 0
+    for seed in range(6):
+        inst = random_instance(150, 64, 64, (0,), (1, 3), seed=seed)
+        assert metrics(inst).max_agent_list == 64
+        solution, _, auditor = audited_two_cost(inst)
+        assert solution.a_perfect and solution.stable
+        z_raises += sum(e["event"] == "z_update" for e in auditor.events)
+    assert z_raises
 
 
 def test_dual_edge_sums_agree_with_edge_lhs():

@@ -20,6 +20,7 @@ from capmatch.stability import (
     gale_shapley,
     is_stable_augmented,
 )
+from capmatch.twocost import solve_two_cost
 
 from conftest import BINARY_COST_TEXT
 
@@ -141,8 +142,9 @@ def test_edge_checks_never_build_agent_rank():
 
 def test_solvers_never_build_agent_rank():
     """The ``lp`` run (sweep and repair both move agents here), the repair on
-    its own, program-proposing deferred acceptance and ``minmax`` answer
-    "does a prefer p?" from a's own list."""
+    its own, program-proposing deferred acceptance, ``minmax`` and
+    ``twocost`` (``y`` and ``z`` raises both) answer "does a prefer p?" from
+    a's own list."""
     inst = parse_instance(serialize_instance(
         random_instance(400, 80, 6, (0, 1, 2), (0, 1, 2, 5), seed=77)))
     steps: list = []
@@ -156,3 +158,9 @@ def test_solvers_never_build_agent_rank():
     assert gale_shapley(inst, inst.quota, PROGRAM_PROPOSING).assignment
     solve_minmax(inst)
     assert "agent_rank" not in vars(inst)
+    zero = parse_instance(serialize_instance(
+        random_instance(400, 80, 6, (0,), (1, 3), seed=77)))
+    events: list = []
+    solve_two_cost(zero, events.append)
+    assert {"y_update", "z_update"} <= {e["event"] for e in events}
+    assert "agent_rank" not in vars(zero)
