@@ -147,17 +147,12 @@ def _render(doc: dict, fmt: str) -> str:
     if fmt == "json":
         return _indented_json(doc) + "\n"
     lines = []
-    for a, p in doc["matching"].items():
-        lines.append(f"matching {a} {p}")
-    for p, v in doc["augmentation"].items():
-        lines.append(f"augmentation {p} {v}")
-    for key in ("total_cost", "max_cost", "a_perfect", "stable", "algorithm",
-                "dual_objective"):
-        if key in doc:
-            value = doc[key]
-            if isinstance(value, bool):
-                value = "true" if value else "false"
-            lines.append(f"{key} {value}")
+    for key, value in doc.items():
+        if isinstance(value, dict):  # matching, augmentation
+            lines.extend(f"{key} {k} {v}" for k, v in value.items())
+        else:  # JSON's true/false; numbers and names as they are
+            text = json.dumps(value) if isinstance(value, bool) else value
+            lines.append(f"{key} {text}")
     return "\n".join(lines) + "\n"
 
 

@@ -44,7 +44,7 @@ class ReductionArtifact:
 
 
 def random_instance(n_agents: int, n_programs: int, max_list: int,
-                    quota_range, cost_set, master_list: bool = False,
+                    quota_range, cost_set, *, master_list: bool = False,
                     seed: int = 0) -> Instance:
     """Seeded random instance; identical arguments reproduce identical output.
 
@@ -242,9 +242,10 @@ def from_vertex_cover(n_vertices: int, edges, k: int, eps) -> ReductionArtifact:
 
 
 def _as_fraction(eps) -> Fraction:
-    if isinstance(eps, float):
-        return Fraction(str(eps))
-    return Fraction(eps)
+    try:
+        return Fraction(str(eps) if isinstance(eps, float) else eps)
+    except (ValueError, ZeroDivisionError, TypeError):
+        raise InvalidParams(f"eps must be a fraction, got {eps!r}") from None
 
 
 def _content_lines(text: str, what: str) -> list[tuple[int, str]]:

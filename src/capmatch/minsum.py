@@ -105,7 +105,7 @@ def lp_approx_run(inst: Instance, emit: Callable[[dict], None] | None = None
     and ``repair`` afterwards.
 
     The sweep reads "does a prefer p to its program?" off a's own list with
-    ``tuple.index``, so ``agent_rank`` is never built: O(position in a's
+    ``tuple.index``, so no agent-side rank table is built: O(position in a's
     list) per test, faster than two dict probes on lists up to about 24 long
     and about twice as slow on lists hundreds long."""
     require_all_matchable(inst)

@@ -179,8 +179,8 @@ class Instance:
     @cached_property
     def agent_rank(self) -> dict[str, dict[str, int]]:
         """``agent_rank[a][p]`` is the 0-based position of p in a's list.
-        In ``src/`` only the oracle builds it: the solvers read an agent's
-        own list, and edge checks read ``program_rank``."""
+        Nothing in ``src/`` reads it: the solvers read an agent's own list.
+        Tests read it as their reference and ``bench/spans.py`` wraps it."""
         return {a: {p: i for i, p in enumerate(prefs)}
                 for a, prefs in self.agent_prefs.items()}
 
@@ -192,7 +192,7 @@ class Instance:
 
     def is_edge(self, agent: str, program: str) -> bool:
         """Whether ``(agent, program)`` is an edge; mutuality lets the program
-        side's rank table answer, so ``agent_rank`` is not built."""
+        side's rank table answer, so no agent-side table is built."""
         return agent in self.program_rank.get(program, ())
 
     def all_edges(self, pairs: dict[str, str]) -> bool:

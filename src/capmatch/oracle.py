@@ -34,24 +34,21 @@ from .errors import InstanceTooLarge, InvariantBroken
 from .model import AugmentedSolution, Instance, Matching, require_all_matchable
 from .stability import build_solution
 
-MINSUM = "sum"
-MINMAX = "max"
 # hard ceiling on the product of list lengths before refusing to run
 DEFAULT_LIMIT = 10_000_000
 
 
 def brute_force_minsum(inst: Instance, *,
                        limit: int = DEFAULT_LIMIT) -> AugmentedSolution:
-    return _solve(inst, MINSUM, limit, "oracle-minsum")
+    return _solve(inst, "oracle-minsum", limit)
 
 
 def brute_force_minmax(inst: Instance, *,
                        limit: int = DEFAULT_LIMIT) -> AugmentedSolution:
-    return _solve(inst, MINMAX, limit, "oracle-minmax")
+    return _solve(inst, "oracle-minmax", limit)
 
 
-def _solve(inst: Instance, objective: str, limit: int,
-           algorithm: str) -> AugmentedSolution:
+def _solve(inst: Instance, algorithm: str, limit: int) -> AugmentedSolution:
     require_all_matchable(inst)
     space = prod(len(inst.agent_prefs[a]) for a in inst.agents)
     if space > limit:
@@ -59,7 +56,7 @@ def _solve(inst: Instance, objective: str, limit: int,
     if not inst.agents:
         return build_solution(inst, Matching({}), algorithm)
 
-    best = _search(inst, objective)
+    best = _search(inst, algorithm == "oracle-minsum")
     if best is None:
         raise InvariantBroken("no feasible assignment; instance invariant broken")
     _, choices = best
@@ -68,16 +65,15 @@ def _solve(inst: Instance, objective: str, limit: int,
     return build_solution(inst, Matching(assignment), algorithm)
 
 
-def _search(inst: Instance, objective: str) -> tuple[int, tuple[int, ...]] | None:
-    """Best (cost, choice-vector) over all stable A-perfect assignments."""
+def _search(inst: Instance, summing: bool) -> tuple[int, tuple[int, ...]] | None:
+    """Best (cost, choice-vector) over all stable A-perfect assignments, by
+    total spend if ``summing``, else by the largest spend on one program."""
     agents = inst.agents
     n = len(agents)
     prefs = [inst.agent_prefs[a] for a in agents]
-    arank = inst.agent_rank
     prank = inst.program_rank
     quota = inst.quota
     cost = inst.cost
-    summing = objective == MINSUM
 
     best_cost: int | None = None
     best_choices: tuple[int, ...] | None = None
@@ -97,7 +93,7 @@ def _search(inst: Instance, objective: str) -> tuple[int, tuple[int, ...]] | Non
                     return True
         for b in inst.program_prefs[p][:prank[p][a]]:
             j = position[b]
-            if j < depth and arank[b][p] < arank[b][placed[j]]:
+            if j < depth and prefs[j].index(p) < choices[j]:
                 return True
         return False
 

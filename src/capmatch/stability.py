@@ -32,9 +32,6 @@ from .model import (
 UNDER_SUBSCRIPTION = "under_subscription"
 ENVY = "envy"
 
-AGENT_PROPOSING = "agent_proposing"
-PROGRAM_PROPOSING = "program_proposing"
-
 
 @dataclass(frozen=True)
 class BlockingReport:
@@ -64,28 +61,26 @@ class BlockingReport:
         }
 
 
-def gale_shapley(inst: Instance, quotas: dict[str, int],
-                 side: str = AGENT_PROPOSING) -> Matching:
-    """Deferred acceptance under the given quotas (not the instance's own).
-
-    Agents propose in declaration order, a displaced agent next; programs
-    propose lowest declaration index first (:func:`_fill_free_seats` from an
-    empty matching).  Neither result depends on that order (McVitie & Wilson,
-    1971).  Both orientations produce a stable matching with respect to
-    ``quotas``, and by the rural-hospitals property they match the same set
-    of agents.  Agent-proposing runs keep each full program's occupants in a
-    heap (see :class:`AgentProposals`).
+def gale_shapley(inst: Instance, quotas: dict[str, int]) -> Matching:
+    """Agent-proposing deferred acceptance under the given quotas (not the
+    instance's own): agents propose in declaration order, a displaced agent
+    next, and each full program's occupants sit in a heap
+    (:class:`AgentProposals`).  ``envy_free_to_stable(inst, quotas,
+    Matching({}))`` is program-proposing deferred acceptance.  Neither result
+    depends on the order of proposals (McVitie & Wilson, 1971); both are
+    stable with respect to ``quotas`` and, by the rural-hospitals property,
+    match the same set of agents.
     """
+    _check_quotas(inst, quotas)
+    return Matching(AgentProposals(inst, quotas).assignment())
+
+
+def _check_quotas(inst: Instance, quotas: dict[str, int]) -> None:
     for p in inst.programs:
         if p not in quotas:
             raise ValidationError(f"no quota given for {p!r}")
         if quotas[p] < 0:
             raise ValidationError(f"negative quota for {p!r}")
-    if side == AGENT_PROPOSING:
-        return Matching(AgentProposals(inst, quotas).assignment())
-    if side != PROGRAM_PROPOSING:
-        raise ValueError(f"unknown side {side!r}")
-    return _fill_free_seats(inst, quotas, {}, None)
 
 
 class AgentProposals:
@@ -230,8 +225,9 @@ def envy_free_to_stable(inst: Instance, quotas: dict[str, int], matching: Matchi
     is called with ``{"agent", "from", "to"}`` as each move happens, ``from``
     being None for an agent that was unmatched.  The moves are those of
     program-proposing deferred acceptance resumed from ``matching``
-    (:func:`_fill_free_seats`).
+    (:func:`_fill_free_seats`), or run from scratch if it is ``Matching({})``.
     """
+    _check_quotas(inst, quotas)
     validate_matching(inst, matching)
     probe = _scan_blocking(inst, matching, inst.quota)
     if probe.envy_pairs:
@@ -259,7 +255,7 @@ def _fill_free_seats(inst: Instance, quotas: dict[str, int],
     E edges and P programs, instead of O(moves * P).
 
     "Does a prefer p to its program?" is read off a's own list with
-    ``tuple.index``, so ``agent_rank`` is never built: O(position in a's
+    ``tuple.index``, so no agent-side rank table is built: O(position in a's
     list) per test, faster than two dict probes on lists up to about 24 long.
     """
     agent_prefs, program_prefs, programs = (inst.agent_prefs, inst.program_prefs,

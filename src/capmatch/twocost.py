@@ -61,7 +61,7 @@ class DualCheck(NamedTuple):
     feasible: bool
     objective: int
     violations: tuple[tuple[str, str, int, int], ...]  # (agent, program, lhs, cost)
-    lhs: list[int]  # every edge's left-hand side, in ``_edges`` order
+    lhs: dict[tuple[str, str], int]  # every edge's left-hand side
 
 
 def check_dual_feasible(inst: Instance, dual: DualState) -> DualCheck:
@@ -69,32 +69,24 @@ def check_dual_feasible(inst: Instance, dual: DualState) -> DualCheck:
     lhs = _lhs_values(inst, dual)
     cost = inst.cost
     violations = tuple((a, p, v, cost[p])
-                       for (a, p), v in zip(_edges(inst), lhs) if v > cost[p])
+                       for (a, p), v in lhs.items() if v > cost[p])
     objective = sum(dual.y[a] for a in inst.agents)
     return DualCheck(not violations, objective, violations, lhs)
 
 
-def _edges(inst: Instance):
-    """Every edge (agent, program), in agent then preference order."""
-    return ((a, p) for a in inst.agents for p in inst.agent_prefs[a])
-
-
-def _lhs_values(inst: Instance, dual: DualState) -> list[int]:
-    """The dual constraint's left-hand side of every edge in ``_edges`` order,
-    from one agent-indexed pass over ``z``: O(edges + |z| * longest list)
-    rather than one pass over ``z`` per edge."""
+def _lhs_values(inst: Instance, dual: DualState) -> dict[tuple[str, str], int]:
+    """The dual constraint's left-hand side of every edge (agent, program), in
+    agent then preference order, from one pass over ``z``: O(edges + |z| *
+    longest list) rather than one pass over ``z`` per edge."""
     prefs = inst.agent_prefs
-    out: list[int] = []
-    first: dict[str, int] = {}  # agent -> index of its top edge in ``out``
-    for a in inst.agents:
-        first[a] = len(out)
-        out.extend([dual.y[a]] * len(prefs[a]))
+    out = {(a, p): dual.y[a] for a in inst.agents for p in prefs[a]}
     for (high, prog, low), val in dual.z.items():
-        if prog in prefs.get(high, ()):  # high's edges at prog and above
-            for k in range(first[high], first[high] + prefs[high].index(prog) + 1):
-                out[k] += val
-        if low != high and prog in prefs.get(low, ()):
-            out[first[low] + prefs[low].index(prog)] -= val
+        mine = prefs.get(high, ())
+        if prog in mine:  # high's edges at prog and above
+            for p in mine[:mine.index(prog) + 1]:
+                out[(high, p)] += val
+        if low != high and (low, prog) in out:
+            out[(low, prog)] -= val
     return out
 
 
@@ -104,8 +96,8 @@ class _Promoter:
     ``thresh[p]`` is the most preferred agent on p's list that would rather
     be at p.  Every move strictly improves the mover, so "a would rather be
     at p" only ever turns from true to false: each threshold is a cursor
-    (``pos[p]``) that only moves down p's list, and after a move by a only
-    the cursors sitting on a need to advance.
+    that only moves down p's list, and after a move by a only the cursors
+    sitting on a need to advance, from just below a.
 
     An agent is *matchable* when one of its tight edges has it as threshold.
     Every matchable agent is on ``heap`` (declaration indices, duplicates and
@@ -125,7 +117,6 @@ class _Promoter:
         self.edge_budget = metrics(inst).edges + 1
         self.index = {a: i for i, a in enumerate(inst.agents)}
         self.heap: list[int] = []
-        self.pos: dict[str, int] = {}
         self.thresh: dict[str, str | None] = {}
         for p in inst.programs:
             self._advance(p, 0)
@@ -136,7 +127,6 @@ class _Promoter:
         i = start
         while i < len(prefs) and not self._wants(prefs[i], p):
             i += 1
-        self.pos[p] = i
         self.thresh[p] = None
         if i < len(prefs):
             self.thresh[p] = prefs[i]
@@ -174,7 +164,7 @@ class _Promoter:
         self.assignment[a] = p
         for q in self.inst.agent_prefs[a]:
             if self.thresh[q] == a and not self._wants(a, q):
-                self._advance(q, self.pos[q] + 1)
+                self._advance(q, self.inst.program_rank[q][a] + 1)
         return old
 
     def run(self) -> None:
@@ -229,7 +219,7 @@ def solve_two_cost(inst: Instance, emit: Callable[[dict], None] | None = None
     gap = c2 - c1
     prefs = inst.agent_prefs
     dual = DualState(y=dict.fromkeys(inst.agents, c1))
-    lhs = dict.fromkeys(_edges(inst), c1)
+    lhs = _lhs_values(inst, dual)
     assignment: dict[str, str] = {}
     for a in inst.agents:
         pick = next((p for p in prefs[a] if inst.cost[p] == c1), None)
@@ -322,8 +312,8 @@ def _finish(inst: Instance, dual: DualState, matching: Matching
     check = check_dual_feasible(inst, dual)
     if not check.feasible:
         raise InvariantBroken(f"dual infeasible at termination: {check.violations[:3]}")
-    for (a, p), v in zip(_edges(inst), check.lhs):
-        if matching.assignment.get(a) == p and v != inst.cost[p]:
+    for a, p in matching.assignment.items():
+        if check.lhs[(a, p)] != inst.cost[p]:
             raise InvariantBroken(f"matched edge ({a!r}, {p!r}) is not tight")
     solution = build_solution(inst, matching, "twocost",
                               dual_objective=check.objective)

@@ -32,7 +32,6 @@ from capmatch.generators import ReductionArtifact, _normalize_sets
 from capmatch.stability import _scan_blocking
 from capmatch.twocost import (
     DualState,
-    _edges,
     _lhs_values,
     _Promoter,
     solve_two_cost,
@@ -88,8 +87,7 @@ def free_promotions(inst: Instance, dual: DualState, matching: Matching) -> Matc
     edge moves along its most preferred one.  The input must be envy-free;
     the result does not depend on application order."""
     assignment = dict(matching.assignment)
-    _Promoter(inst, assignment, dict(zip(_edges(inst), _lhs_values(inst, dual))),
-              None).run()
+    _Promoter(inst, assignment, _lhs_values(inst, dual), None).run()
     return Matching({a: assignment[a] for a in inst.agents if a in assignment})
 
 

@@ -120,7 +120,7 @@ def test_solve_broken_invariant_exits_one_without_traceback(
     import capmatch.twocost as twocost
 
     def infeasible(inst, dual):
-        return twocost.DualCheck(False, 0, (("a1", "p1", 9, 1),), [])
+        return twocost.DualCheck(False, 0, (("a1", "p1", 9, 1),), {})
 
     monkeypatch.setattr(twocost, "check_dual_feasible", infeasible)
     path = instance_file(BINARY_COST_TEXT)
@@ -130,11 +130,12 @@ def test_solve_broken_invariant_exits_one_without_traceback(
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-@pytest.mark.parametrize("guard", ["step-budget", "stuck-helper"])
+@pytest.mark.parametrize("guard", ["step-budget", "stuck-helper",
+                                   "free-promotions"])
 def test_solve_twocost_guards_exit_one(instance_file, capsys, monkeypatch,
                                        guard):
-    """Both loop guards of ``solve_two_cost``, forced by a ``_Promoter`` that
-    withholds moves, end in exit 1 with one ``error:`` line."""
+    """Each loop guard of ``solve_two_cost``, forced by a ``_Promoter`` that
+    withholds moves, ends in exit 1 with one ``error:`` line."""
     import capmatch.twocost as twocost
 
     promoter = twocost._Promoter
@@ -143,6 +144,13 @@ def test_solve_twocost_guards_exit_one(instance_file, capsys, monkeypatch,
         monkeypatch.setattr(promoter, "matchable", lambda self, a: None)
         monkeypatch.setattr(promoter, "candidates", lambda self, a: [])
         message = "two-cost solver exceeded its step budget"
+    elif guard == "free-promotions":
+        def stay(self, a, p):  # the mover stays put, so it stays matchable
+            self.touch(a)
+            return self.assignment.get(a)
+
+        monkeypatch.setattr(promoter, "move", stay)
+        message = "free promotions exceeded the edge budget"
     else:  # the z raise pays a1's way up, but a1 may not take a seat
         monkeypatch.setattr(promoter, "matchable", lambda self, a:
                             None if a == "a1" else matchable(self, a))
@@ -284,6 +292,31 @@ def test_verify_malformed_solution(instance_file, tmp_path, capsys):
                  "--solution", str(sol_path)]) == 2
 
 
+SCALARS = {"total_cost": 0, "max_cost": 0, "a_perfect": True, "stable": True}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([], "solution document must be a JSON object"),
+    ({"matching": {"a1": 1}, "augmentation": {}, **SCALARS},
+     "matching must map agents to programs"),
+    ({"matching": [], "augmentation": {}, **SCALARS},
+     "matching must map agents to programs"),
+    ({"matching": {}, "augmentation": {"p1": True}, **SCALARS},
+     "augmentation must map programs to integers"),
+    ({"matching": {}, "augmentation": [], **SCALARS},
+     "augmentation must map programs to integers"),
+], ids=["array", "program-not-a-name", "matching-array", "count-not-an-int",
+        "augmentation-array"])
+def test_verify_rejects_malformed_document(instance_file, tmp_path, capsys,
+                                           doc, message):
+    inst_path = instance_file(BINARY_COST_TEXT)
+    sol_path = tmp_path / "sol.json"
+    sol_path.write_text(json.dumps(doc))
+    assert main(["verify", "--in", inst_path,
+                 "--solution", str(sol_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_verify_non_utf8_solution(instance_file, tmp_path, capsys):
     inst_path = instance_file(BINARY_COST_TEXT)
     sol_path = tmp_path / "sol.json"
@@ -379,6 +412,15 @@ def test_reduce_vertexcover_custom_eps(instance_file, tmp_path, capsys):
     meta = json.loads(capsys.readouterr().out)
     assert meta["dummies_per_set"] == 4  # ceil(2*1*(2/3)/(1/3))
     assert meta["budget"] == 5
+
+
+@pytest.mark.parametrize("eps", ["abc", "1/0", "nan", ""])
+def test_reduce_vertexcover_malformed_eps(instance_file, tmp_path, capsys, eps):
+    path = instance_file("2\n1 2\n", "graph.txt")
+    assert main(["reduce", "vertexcover", "--in", path, "--k", "1",
+                 "--eps", eps, "--out", str(tmp_path / "r.txt")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: eps must be a fraction, got {eps!r}\n"
 
 
 # The reduce commands' stdout, byte for byte: ``json.dumps(..., indent=2)``

@@ -77,6 +77,14 @@ def test_random_instance_rejects_bad_params():
         random_instance(3, 3, 2, (-1, 0), (1,))
 
 
+def test_random_instance_takes_master_list_and_seed_by_keyword():
+    # positionally, the seed would land in master_list and build seed 0
+    with pytest.raises(TypeError):
+        random_instance(150, 64, 64, (0,), (1, 3), 1)
+    with pytest.raises(TypeError):
+        random_instance(150, 64, 64, (0,), (1, 3), False, 1)
+
+
 def test_set_cover_singleton():
     art = from_set_cover(1, [{1}], 1)
     inst = art.instance
@@ -120,6 +128,8 @@ def test_set_cover_rejects_bad_params():
         from_set_cover(2, [{1, 2}], 0)  # k too small
     with pytest.raises(InvalidParams):
         from_set_cover(0, [], 1)
+    with pytest.raises(InvalidParams, match="need at least one set"):
+        from_set_cover(2, [], 1)
     with pytest.raises(InvalidParams):
         from_set_cover(2, [{1, 5}], 1)  # element out of range
     with pytest.raises(UncoverableElement):
@@ -198,6 +208,15 @@ def test_vertex_cover_rejects_bad_params():
         from_vertex_cover(2, [(1, 3)], 1, "1/2")  # endpoint out of range
     with pytest.raises(InvalidParams):
         from_vertex_cover(2, [], 1, "1/2")
+    with pytest.raises(InvalidParams, match="at least one vertex"):
+        from_vertex_cover(0, [], 1, "1/2")
+    with pytest.raises(InvalidParams, match="k must be at least 1"):
+        from_vertex_cover(2, edges, 0, "1/2")
+    with pytest.raises(InvalidParams, match="bad edge"):
+        from_vertex_cover(2, [(1, 2.0)], 1, "1/2")  # non-integer endpoint
+    for eps in ("abc", "1/0", "nan", "", None, float("nan")):
+        with pytest.raises(InvalidParams, match="eps must be a fraction"):
+            from_vertex_cover(2, edges, 1, eps)
 
 
 def test_read_set_cover():

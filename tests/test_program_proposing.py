@@ -1,12 +1,12 @@
 """Program-proposing deferred acceptance against a plain queue-driven copy.
 
-``gale_shapley(side=PROGRAM_PROPOSING)`` runs the promotion repair's
-free-seat worklist from an empty matching; ``program_proposing_reference``
-runs the textbook loop with a queue of programs.  Program-proposing DA ends
-in the program-optimal stable matching whatever the proposal order (McVitie
-& Wilson, 1971), so the two must agree pair for pair.  The package's result
-lists agents in declaration order, so the reference is re-keyed the same way
-and the key order is compared too.
+``envy_free_to_stable(inst, quotas, Matching({}))`` runs the promotion
+repair's free-seat worklist from an empty matching;
+``program_proposing_reference`` runs the textbook loop with a queue of
+programs.  Program-proposing DA ends in the program-optimal stable matching
+whatever the proposal order (McVitie & Wilson, 1971), so the two must agree
+pair for pair.  The package's result lists agents in declaration order, so
+the reference is re-keyed the same way and the key order is compared too.
 """
 
 from __future__ import annotations
@@ -15,16 +15,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from capmatch import Matching
 from capmatch.generators import random_instance
 from capmatch.minmax import budget_quotas, candidate_costs
-from capmatch.stability import PROGRAM_PROPOSING, gale_shapley
+from capmatch.stability import envy_free_to_stable
 
 from conftest import long_list_market, small_instances
 from oracles import program_proposing_reference
 
 
 def _assert_matches_reference(inst, quotas):
-    got = gale_shapley(inst, quotas, PROGRAM_PROPOSING).assignment
+    got = envy_free_to_stable(inst, quotas, Matching({})).assignment
     ref = program_proposing_reference(inst, quotas)
     assert list(got.items()) == [(a, ref[a]) for a in inst.agents if a in ref]
 

@@ -10,9 +10,7 @@ from hypothesis import given, settings
 from capmatch import Matching, NotEnvyFree, ValidationError, metrics, parse_instance
 from capmatch.generators import random_instance
 from capmatch.stability import (
-    AGENT_PROPOSING,
     ENVY,
-    PROGRAM_PROPOSING,
     UNDER_SUBSCRIPTION,
     blocking_pairs,
     build_solution,
@@ -25,12 +23,12 @@ from conftest import find_envy, random_envy_free_matching, small_instances
 
 
 def test_gs_zero_quotas_is_empty(binary_cost):
-    m = gale_shapley(binary_cost, binary_cost.quota, AGENT_PROPOSING)
+    m = gale_shapley(binary_cost, binary_cost.quota)
     assert m.assignment == {}
 
 
 def test_gs_contested_seat(contested_seat):
-    m = gale_shapley(contested_seat, contested_seat.quota, AGENT_PROPOSING)
+    m = gale_shapley(contested_seat, contested_seat.quota)
     assert m.assignment == {"a1": "p1"}  # a2 bounced by the better-ranked a1
 
 
@@ -43,27 +41,29 @@ def test_gs_displacement():
     )
     # a2 reaches p1 first only in program order; either way a1 wins the
     # seat and a2 falls through to p2
-    m = gale_shapley(inst, inst.quota, AGENT_PROPOSING)
+    m = gale_shapley(inst, inst.quota)
     assert m.assignment == {"a1": "p1", "a2": "p2"}
-    assert gale_shapley(inst, inst.quota, PROGRAM_PROPOSING).assignment == \
+    assert envy_free_to_stable(inst, inst.quota, Matching({})).assignment == \
         m.assignment
 
 
 def test_gs_program_side(contested_seat):
-    m = gale_shapley(contested_seat, contested_seat.quota, PROGRAM_PROPOSING)
+    m = envy_free_to_stable(contested_seat, contested_seat.quota, Matching({}))
     assert m.assignment == {"a1": "p1"}
 
 
 def test_gs_rejects_bad_quotas(contested_seat):
     with pytest.raises(ValidationError):
-        gale_shapley(contested_seat, {"p1": -1, "p2": 0}, AGENT_PROPOSING)
+        gale_shapley(contested_seat, {"p1": -1, "p2": 0})
     with pytest.raises(ValidationError):
-        gale_shapley(contested_seat, {"p1": 1}, AGENT_PROPOSING)  # missing key
+        gale_shapley(contested_seat, {"p1": 1})  # missing key
 
 
-def test_gs_unknown_side(contested_seat):
-    with pytest.raises(ValueError):
-        gale_shapley(contested_seat, contested_seat.quota, "sideways")
+def test_program_side_rejects_bad_quotas(contested_seat):
+    with pytest.raises(ValidationError, match="negative quota for 'p1'"):
+        envy_free_to_stable(contested_seat, {"p1": -1, "p2": 0}, Matching({}))
+    with pytest.raises(ValidationError, match="no quota given for 'p2'"):
+        envy_free_to_stable(contested_seat, {"p1": 1}, Matching({}))
 
 
 def test_blocking_report_under_subscription(contested_seat):
@@ -133,16 +133,16 @@ def test_envy_free_to_stable_tolerates_overfull_programs(contested_seat):
 @settings(max_examples=80, deadline=None)
 @given(small_instances())
 def test_gs_output_is_stable(inst):
-    for side in (AGENT_PROPOSING, PROGRAM_PROPOSING):
-        m = gale_shapley(inst, inst.quota, side)
+    for m in (gale_shapley(inst, inst.quota),
+              envy_free_to_stable(inst, inst.quota, Matching({}))):
         assert blocking_pairs(inst, inst.quota, m).empty
 
 
 @settings(max_examples=80, deadline=None)
 @given(small_instances())
 def test_same_agents_matched_on_both_sides(inst):
-    a_side = gale_shapley(inst, inst.quota, AGENT_PROPOSING)
-    p_side = gale_shapley(inst, inst.quota, PROGRAM_PROPOSING)
+    a_side = gale_shapley(inst, inst.quota)
+    p_side = envy_free_to_stable(inst, inst.quota, Matching({}))
     assert set(a_side.assignment) == set(p_side.assignment)
 
 

@@ -18,9 +18,8 @@ from capmatch.generators import random_instance
 from capmatch.minmax import budget_quotas, candidate_costs, feasible_at, solve_minmax
 from capmatch.model import require_all_matchable, solution_to_json
 from capmatch.stability import (
-    AGENT_PROPOSING,
-    PROGRAM_PROPOSING,
     build_solution,
+    envy_free_to_stable,
     gale_shapley,
 )
 
@@ -103,7 +102,7 @@ def quota_cases(draw):
 @given(quota_cases())
 def test_heap_da_matches_max_scan_da(case):
     inst, quotas = case
-    new = gale_shapley(inst, quotas, AGENT_PROPOSING).assignment
+    new = gale_shapley(inst, quotas).assignment
     old = max_scan_agent_proposing(inst, quotas).assignment
     assert list(new.items()) == list(old.items())
 
@@ -174,11 +173,11 @@ def test_invariants_at_scale():
     assert feasible_at(inst, sol.max_cost)
     assert sol.max_cost == 0 or not feasible_at(
         inst, max(v for v in candidate_costs(inst) if v < sol.max_cost))
-    at_budget = gale_shapley(inst, budget, AGENT_PROPOSING)
+    at_budget = gale_shapley(inst, budget)
     assert list(sol.matching.assignment.items()) == list(at_budget.assignment.items())
     for quotas in (inst.quota, budget):
-        agents_side = gale_shapley(inst, quotas, AGENT_PROPOSING)
-        programs_side = gale_shapley(inst, quotas, PROGRAM_PROPOSING)
+        agents_side = gale_shapley(inst, quotas)
+        programs_side = envy_free_to_stable(inst, quotas, Matching({}))
         assert set(agents_side.assignment) == set(programs_side.assignment)
         agents_roster, programs_roster = roster(agents_side), roster(programs_side)
         for p in inst.programs:

@@ -90,7 +90,7 @@ def test_dual_check_lhs_matches_edge_lhs_on_arbitrary_duals():
         check = check_dual_feasible(inst, dual)
         edges = [(a, p) for a in inst.agents for p in inst.agent_prefs[a]]
         fresh = [edge_lhs(inst, dual, a, p) for a, p in edges]
-        assert check.lhs == fresh
+        assert list(check.lhs.items()) == list(zip(edges, fresh))
         assert check.violations == tuple(
             (a, p, v, inst.cost[p]) for (a, p), v in zip(edges, fresh)
             if v > inst.cost[p])

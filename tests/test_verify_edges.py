@@ -14,8 +14,8 @@ from capmatch.generators import random_instance
 from capmatch.minmax import solve_minmax
 from capmatch.minsum import PROMOTE, REPAIR, lp_approx_run
 from capmatch.model import serialize_instance, validate_matching
+from capmatch.oracle import brute_force_minmax, brute_force_minsum
 from capmatch.stability import (
-    PROGRAM_PROPOSING,
     envy_free_to_stable,
     gale_shapley,
     is_stable_augmented,
@@ -142,9 +142,9 @@ def test_edge_checks_never_build_agent_rank():
 
 def test_solvers_never_build_agent_rank():
     """The ``lp`` run (sweep and repair both move agents here), the repair on
-    its own, program-proposing deferred acceptance, ``minmax`` and
-    ``twocost`` (``y`` and ``z`` raises both) answer "does a prefer p?" from
-    a's own list."""
+    its own, program-proposing deferred acceptance, ``minmax``, ``twocost``
+    (``y`` and ``z`` raises both) and both oracles answer "does a prefer p?"
+    from a's own list."""
     inst = parse_instance(serialize_instance(
         random_instance(400, 80, 6, (0, 1, 2), (0, 1, 2, 5), seed=77)))
     steps: list = []
@@ -155,7 +155,7 @@ def test_solvers_never_build_agent_rank():
     envy_free_to_stable(inst, {p: q + 1 for p, q in inst.quota.items()}, start,
                         moves.append)
     assert moves
-    assert gale_shapley(inst, inst.quota, PROGRAM_PROPOSING).assignment
+    assert envy_free_to_stable(inst, inst.quota, Matching({})).assignment
     solve_minmax(inst)
     assert "agent_rank" not in vars(inst)
     zero = parse_instance(serialize_instance(
@@ -164,3 +164,7 @@ def test_solvers_never_build_agent_rank():
     solve_two_cost(zero, events.append)
     assert {"y_update", "z_update"} <= {e["event"] for e in events}
     assert "agent_rank" not in vars(zero)
+    small = parse_instance(serialize_instance(
+        random_instance(8, 4, 3, (0, 1), (1, 2), seed=3)))
+    assert brute_force_minsum(small).stable and brute_force_minmax(small).stable
+    assert "agent_rank" not in vars(small)
