@@ -7,9 +7,10 @@ instance generator) and ``reduce setcover`` / ``reduce vertexcover``
 bookkeeping JSON to stdout).
 
 Exit codes: 0 success, 1 precondition or verification failure (or a broken
-solver invariant), 2 unreadable or malformed input, 3 oracle search-space
-limit exceeded.  Diagnostics and --trace output go to stderr, the trace one
-JSON line per step as the solver takes it; results go to stdout or --out.
+solver invariant), 2 unreadable or malformed input, 3 oracle search space or
+reduced instance past its size limit.  Diagnostics and --trace output go to
+stderr, the trace one JSON line per step as the solver takes it; results go
+to stdout or --out.
 """
 
 from __future__ import annotations
@@ -51,15 +52,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValidationError, OSError) as exc:
+    except (CapmatchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InstanceTooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except CapmatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        if isinstance(exc, InstanceTooLarge):
+            return 3
+        return 2 if isinstance(exc, (ParseError, ValidationError, OSError)) else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -34,7 +34,7 @@ class InvariantBroken(CapmatchError):
 
 
 class InstanceTooLarge(CapmatchError):
-    """Brute-force search space exceeds the configured limit."""
+    """A brute-force search space or a reduced instance exceeds its limit."""
 
 
 class InvalidParams(CapmatchError):

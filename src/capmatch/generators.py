@@ -23,8 +23,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidParams, ParseError, UncoverableElement
+from .errors import InstanceTooLarge, InvalidParams, ParseError, UncoverableElement
 from .model import Instance
+
+# Most agents a reduction builds.  A `reduce` process peaks at ~1.35 KB per
+# agent (135 MB max RSS at 100k agents, Python 3.11), so this ceiling keeps a
+# run near 1.4 GB; the oracle's 10,000,000 would need ~13 GB.
+MAX_REDUCED_AGENTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -119,13 +124,14 @@ def _cover_instance(n_elem: int, sets: list[tuple[int, ...]],
     master-list property.
     """
     m = len(sets)
+    covered = set().union(*sets)
+    if len(covered) < n_elem:  # every member is in 1..n_elem
+        e = next(e for e in range(1, len(covered) + 2) if e not in covered)
+        raise UncoverableElement(f"element {e} is in no set")
     member_of: dict[int, list[int]] = {e: [] for e in range(1, n_elem + 1)}
     for j, members in enumerate(sets, 1):
         for e in members:
             member_of[e].append(j)
-    for e in range(1, n_elem + 1):
-        if not member_of[e]:
-            raise UncoverableElement(f"element {e} is in no set")
 
     agents: list[str] = []
     programs: list[str] = []
@@ -177,6 +183,7 @@ def from_set_cover(universe_size: int, sets, k: int) -> ReductionArtifact:
     normalized = _normalize_sets(universe_size, sets)
     if not normalized:
         raise InvalidParams("need at least one set")
+    _check_size(len(normalized), universe_size, universe_size)
     inst = _cover_instance(universe_size, normalized, universe_size)
     budget = (k + 1) * universe_size
     meta = {
@@ -221,11 +228,10 @@ def from_vertex_cover(n_vertices: int, edges, k: int, eps) -> ReductionArtifact:
         raise InvalidParams("graph must have at least one edge")
 
     n_elem = len(edge_list)
-    incident: list[tuple[int, ...]] = []
-    for v in range(1, n_vertices + 1):
-        incident.append(tuple(i + 1 for i, (x, y) in enumerate(edge_list)
-                              if v in (x, y)))
     f = math.ceil(2 * n_elem * (1 - gap) / gap)
+    _check_size(n_vertices, f, n_elem)
+    incident = [tuple(i + 1 for i, (x, y) in enumerate(edge_list) if v in (x, y))
+                for v in range(1, n_vertices + 1)]
     inst = _cover_instance(n_elem, incident, f)
     budget = n_elem + k * f
     meta = {
@@ -239,6 +245,15 @@ def from_vertex_cover(n_vertices: int, edges, k: int, eps) -> ReductionArtifact:
         "dummies_per_set": f,
     }
     return ReductionArtifact(inst, budget, meta)
+
+
+def _check_size(n_sets: int, dummies_per_set: int, n_elem: int) -> None:
+    """InstanceTooLarge unless the reduced instance's agent count, one per
+    dummy and one per element, is within ``MAX_REDUCED_AGENTS``."""
+    agents = n_sets * dummies_per_set + n_elem
+    if agents > MAX_REDUCED_AGENTS:
+        raise InstanceTooLarge(f"reduced instance would have {agents} agents, "
+                               f"limit {MAX_REDUCED_AGENTS}")
 
 
 def _as_fraction(eps) -> Fraction:

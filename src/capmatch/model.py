@@ -16,22 +16,24 @@ Names are ASCII tokens matching ``[A-Za-z0-9_]+``.  A list after ``:`` may be
 empty only on a program line.  Declaration order of lines is the canonical
 order used for every deterministic tie-break in the solvers.
 
-Checks are split between two places.  ``parse_instance`` checks what one line
+Checks are made in two places.  ``parse_instance`` checks what one line
 shows and names the line: the ``:`` separator, the declaration shape, the
 identifier syntax of every token, ``q=``/``c=`` integers and their signs, a
 name declared twice, an empty agent list and a list that repeats an entry.
-A well-formed line passes all but three of them in one whole-line match per
-declaration kind; only a new name, a non-empty agent list and a list without
-repeats are left to check.  Every other line (comments, blanks, faults and
-rare forms such as ``q=-0``) goes through the per-line checks, which skip it,
-store it or word its error.
+A well-formed line is read by one whole-line match per declaration
+kind; every other line (comments, blanks, faults and rare forms such as
+``q=-0``) goes through the per-line checks, which skip it, word its error or
+read it.  Both paths end in one tail: a new name, a non-empty agent list, no
+repeats, then the store.
 ``Instance._validate`` runs on every instance, parsed or built directly, and
 reports without line numbers: it checks what needs the whole instance (every
 listed name is declared, the lists are mutual) and, for instances built
-directly, repeats the per-name checks (identifiers, duplicates, mapping keys,
-quotas and costs).  The first failing check raises ``ParseError`` (malformed
-syntax) or ``ValidationError`` (a broken model rule); which check fires first
-is fixed, and ``tests/test_parse_diagnostics.py`` pins it.
+directly, the per-name rules (identifiers, duplicates, mapping keys, quotas
+and costs).  Each check is one whole-collection operation, and only a failing
+one walks the names to word its error.  The first failing check raises
+``ParseError`` (malformed syntax) or ``ValidationError`` (a broken model
+rule); which check fires first is fixed, and
+``tests/test_parse_diagnostics.py`` pins it.
 
 ``parse_instance`` hands out one ``str`` per name from a parse-local dict (not
 ``sys.intern``, whose table outlives the instance): dict probes then match keys
@@ -105,76 +107,59 @@ class Instance:
     def _validate(self) -> None:
         """Raise ValidationError unless the instance is well formed.
 
-        The checks run as whole-collection operations; only when one fails do
-        the per-name loops of :meth:`_raise_first_error` run, to name the
-        first fault in their fixed order."""
-        if not self._well_formed():
-            self._raise_first_error()
-
-    def _well_formed(self) -> bool:
-        """Whether every check of :meth:`_raise_first_error` passes."""
+        Each check is one whole-collection operation, run in a fixed order;
+        only a failing check walks the names to word its error."""
         agents, programs = self.agents, self.programs
-        agent_set, program_set = set(agents), set(programs)
         if not (all(agents) and _IDENT_CHARS.match("".join(agents))
-                and all(programs) and _IDENT_CHARS.match("".join(programs))
-                and len(agent_set) == len(agents)
-                and len(program_set) == len(programs)
-                and self.agent_prefs.keys() == agent_set
-                and self.program_prefs.keys() == program_set
-                and self.quota.keys() == program_set
-                and self.cost.keys() == program_set
-                and all(map(_is_count, self.quota.values()))
-                and all(map(_is_count, self.cost.values()))):
-            return False
+                and all(programs) and _IDENT_CHARS.match("".join(programs))):
+            bad = next(n for n in chain(agents, programs) if not _IDENT.match(n))
+            raise ValidationError(f"bad identifier {bad!r}")
+        agent_set, program_set = set(agents), set(programs)
+        for names, known, kind in ((agents, agent_set, "agent"),
+                                   (programs, program_set, "program")):
+            if len(known) != len(names):
+                raise ValidationError(f"duplicate {kind} declaration")
+        if self.agent_prefs.keys() != agent_set:
+            raise ValidationError("agent_prefs keys do not match declared agents")
+        for mapping, what in ((self.program_prefs, "program_prefs"),
+                              (self.quota, "quota"), (self.cost, "cost")):
+            if mapping.keys() != program_set:
+                raise ValidationError(f"{what} keys do not match declared programs")
         # Mutuality, off the program rank table that deferred acceptance builds
         # anyway: equal entry counts, no repeat in an agent list and each entry
         # in its program's rank dict make the edge sets equal, all declared.
         agent_lists = self.agent_prefs.values()
         edges = sum(map(len, self.program_prefs.values()))
         rank = self.program_rank
-        return (sum(map(len, agent_lists)) == edges
-                and sum(map(len, map(set, agent_lists))) == edges
-                and all(a in rank.get(p, ())
-                        for a, prefs in self.agent_prefs.items() for p in prefs))
-
-    def _raise_first_error(self) -> None:
-        for name in list(self.agents) + list(self.programs):
-            if not _IDENT.match(name):
-                raise ValidationError(f"bad identifier {name!r}")
-        if len(set(self.agents)) != len(self.agents):
-            raise ValidationError("duplicate agent declaration")
-        if len(set(self.programs)) != len(self.programs):
-            raise ValidationError("duplicate program declaration")
-        agent_set, program_set = set(self.agents), set(self.programs)
-        if set(self.agent_prefs) != agent_set:
-            raise ValidationError("agent_prefs keys do not match declared agents")
-        for mapping, what in ((self.program_prefs, "program_prefs"),
-                              (self.quota, "quota"), (self.cost, "cost")):
-            if set(mapping) != program_set:
-                raise ValidationError(f"{what} keys do not match declared programs")
-        for a, prefs in self.agent_prefs.items():
-            if len(set(prefs)) != len(prefs):
-                raise ValidationError(f"duplicate entry in preference list of {a!r}")
-            for p in prefs:
-                if p not in program_set:
-                    raise ValidationError(f"agent {a!r} lists unknown program {p!r}")
-        for p, prefs in self.program_prefs.items():
-            if len(set(prefs)) != len(prefs):
-                raise ValidationError(f"duplicate entry in preference list of {p!r}")
-            for a in prefs:
-                if a not in agent_set:
-                    raise ValidationError(f"program {p!r} lists unknown agent {a!r}")
-        for p in self.programs:
-            if not _is_count(self.quota[p]):
-                raise ValidationError(f"program {p!r} has negative or non-integer quota")
-            if not _is_count(self.cost[p]):
-                raise ValidationError(f"program {p!r} has negative or non-integer cost")
-        forward = {(a, p) for a, prefs in self.agent_prefs.items() for p in prefs}
-        backward = {(a, p) for p, prefs in self.program_prefs.items() for a in prefs}
-        for a, p in sorted(forward - backward):
-            raise ValidationError(f"agent {a!r} lists {p!r} but not vice versa")
-        for a, p in sorted(backward - forward):
-            raise ValidationError(f"program {p!r} lists {a!r} but not vice versa")
+        mutual = (sum(map(len, agent_lists)) == edges
+                  and sum(map(len, map(set, agent_lists))) == edges
+                  and all(a in rank.get(p, ())
+                          for a, prefs in self.agent_prefs.items() for p in prefs))
+        if not mutual:  # a repeat or an unknown name is worded before counts
+            for kind, lists, other, known in (
+                    ("agent", self.agent_prefs, "program", program_set),
+                    ("program", self.program_prefs, "agent", agent_set)):
+                for name, prefs in lists.items():
+                    if len(set(prefs)) != len(prefs):
+                        raise ValidationError(
+                            f"duplicate entry in preference list of {name!r}")
+                    for x in prefs:
+                        if x not in known:
+                            raise ValidationError(
+                                f"{kind} {name!r} lists unknown {other} {x!r}")
+        if not all(map(_is_count, chain(self.quota.values(), self.cost.values()))):
+            for p in programs:
+                for what, table in (("quota", self.quota), ("cost", self.cost)):
+                    if not _is_count(table[p]):
+                        raise ValidationError(
+                            f"program {p!r} has negative or non-integer {what}")
+        if not mutual:
+            forward = {(a, p) for a, ps in self.agent_prefs.items() for p in ps}
+            backward = {(a, p) for p, ps in self.program_prefs.items() for a in ps}
+            for a, p in sorted(forward - backward):
+                raise ValidationError(f"agent {a!r} lists {p!r} but not vice versa")
+            for a, p in sorted(backward - forward):
+                raise ValidationError(f"program {p!r} lists {a!r} but not vice versa")
 
     @cached_property
     def agent_rank(self) -> dict[str, dict[str, int]]:
@@ -258,73 +243,63 @@ def parse_instance(text: str) -> Instance:
     same = {}.setdefault  # first occurrence of each name -> that one object
     agent_line, program_line = _AGENT_LINE.match, _PROGRAM_LINE.match
     for lineno, raw in enumerate(text.splitlines(), 1):
-        # A whole-line match stores the line when the checks it cannot make
-        # pass as well; otherwise the per-line checks below take over.
+        # A whole-line match reads a well-formed declaration; every other line
+        # goes through the per-line checks, which skip it, word its error or
+        # read it.  Both paths end in the checks and the store below.
         match = agent_line(raw)
         if match:
-            name, tail = match.groups()
-            items = tail.split()
-            prefs = tuple(map(same, items, items))
-            if prefs and name not in agent_prefs and len(set(prefs)) == len(prefs):
-                agent_prefs[same(name, name)] = prefs
-                continue
-        else:
-            match = program_line(raw)
-            if match:
-                name, q, c, tail = match.groups()
-                items = tail.split()
-                prefs = tuple(map(same, items, items))
-                if name not in program_prefs and len(set(prefs)) == len(prefs):
-                    name = same(name, name)
-                    program_prefs[name] = prefs
-                    quota[name], cost[name] = int(q), int(c)
-                    continue
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        head, sep, tail = line.partition(":")
-        if not sep:
-            raise ParseError(f"line {lineno}: expected ':' separator")
-        fields = head.split()
-        items = tail.split()
-        if not fields:
-            raise ParseError(f"line {lineno}: missing declaration before ':'")
-        kind = fields[0]
-        if kind == "agent":
-            if len(fields) != 2:
-                raise ParseError(f"line {lineno}: expected 'agent <name> : ...'")
             lists = agent_prefs
-        elif kind == "program":
-            if len(fields) != 4:
-                raise ParseError(
-                    f"line {lineno}: expected 'program <name> q=<int> c=<int> : ...'"
-                )
+            name, tail = match.groups()
+        elif match := program_line(raw):
             lists = program_prefs
+            name, q, c, tail = match.groups()
+            q, c = int(q), int(c)
         else:
-            raise ParseError(f"line {lineno}: unknown declaration {kind!r}")
-        name = same(fields[1], fields[1])
-        _check_ident(name, lineno)
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            head, sep, tail = line.partition(":")
+            if not sep:
+                raise ParseError(f"line {lineno}: expected ':' separator")
+            fields = head.split()
+            if not fields:
+                raise ParseError(f"line {lineno}: missing declaration before ':'")
+            if fields[0] == "agent":
+                if len(fields) != 2:
+                    raise ParseError(f"line {lineno}: expected 'agent <name> : ...'")
+                lists = agent_prefs
+            elif fields[0] == "program":
+                if len(fields) != 4:
+                    raise ParseError(f"line {lineno}: expected "
+                                     "'program <name> q=<int> c=<int> : ...'")
+                lists = program_prefs
+            else:
+                raise ParseError(f"line {lineno}: unknown declaration {fields[0]!r}")
+            name = fields[1]
+            _check_ident(name, lineno)
+            if name not in lists:  # a duplicate is worded below, before the rest
+                if lists is program_prefs:
+                    q = _parse_kv(fields[2], "q", lineno)
+                    c = _parse_kv(fields[3], "c", lineno)
+                    for value, what in ((q, "quota"), (c, "cost")):
+                        if value < 0:
+                            raise ValidationError(
+                                f"line {lineno}: negative {what} for {name!r}")
+                for token in tail.split():
+                    _check_ident(token, lineno)
+        items = tail.split()
         if name in lists:
+            kind = "agent" if lists is agent_prefs else "program"
             raise ValidationError(f"line {lineno}: duplicate {kind} {name!r}")
-        if lists is agent_prefs:
-            if not items:
-                raise ValidationError(
-                    f"line {lineno}: agent {name!r} has an empty preference list"
-                )
-        else:
-            q = _parse_kv(fields[2], "q", lineno)
-            c = _parse_kv(fields[3], "c", lineno)
-            if q < 0:
-                raise ValidationError(f"line {lineno}: negative quota for {name!r}")
-            if c < 0:
-                raise ValidationError(f"line {lineno}: negative cost for {name!r}")
-            quota[name] = q
-            cost[name] = c
-        for token in items:
-            _check_ident(token, lineno)
+        if not items and lists is agent_prefs:
+            raise ValidationError(
+                f"line {lineno}: agent {name!r} has an empty preference list")
         prefs = tuple(map(same, items, items))
         if len(set(prefs)) != len(prefs):
             raise ValidationError(f"line {lineno}: duplicate entry in preference list")
+        name = same(name, name)
+        if lists is program_prefs:
+            quota[name], cost[name] = q, c
         lists[name] = prefs
 
     return Instance(tuple(agent_prefs), tuple(program_prefs), agent_prefs,
@@ -439,11 +414,14 @@ def solution_cost(inst: Instance, matching: Matching) -> tuple[dict[str, int], i
 
 
 def solution_to_json(inst: Instance, sol: AugmentedSolution) -> dict:
-    """JSON-ready dict; key order follows instance declaration order."""
+    """JSON-ready dict that shares the solution's matching and augmentation.
+
+    Both follow ``inst``'s declaration order, which the solvers guarantee:
+    each keys its matching in agent declaration order, and ``build_solution``
+    takes ``aug`` from :func:`solution_cost`, which walks the programs."""
     doc: dict = {
-        "matching": {a: sol.matching.assignment[a] for a in inst.agents
-                     if a in sol.matching.assignment},
-        "augmentation": {p: sol.aug[p] for p in inst.programs if sol.aug.get(p)},
+        "matching": sol.matching.assignment,
+        "augmentation": sol.aug,
         "total_cost": sol.total_cost,
         "max_cost": sol.max_cost,
         "a_perfect": sol.a_perfect,

@@ -11,8 +11,9 @@ feasible with every matched edge tight.
 
 ``program_proposing_reference`` is a plain program-proposing deferred
 acceptance run from a queue, ``dual_edge_sums`` recomputes every dual
-constraint of a large market, and ``cover_witness`` and ``min_cover_size``
-answer the covering side of the hardness reductions.
+constraint of a large market, ``validation_reference`` names an instance's
+first fault with one loop per rule, and ``cover_witness`` and
+``min_cover_size`` answer the covering side of the hardness reductions.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from capmatch import (
     metrics,
 )
 from capmatch.generators import ReductionArtifact, _normalize_sets
+from capmatch.model import _IDENT, _is_count
 from capmatch.stability import _scan_blocking
 from capmatch.twocost import (
     DualState,
@@ -284,6 +286,49 @@ def program_proposing_reference(inst: Instance, quotas: dict[str, int]) -> dict[
                     used[cur] -= 1
                     queue.appendleft(cur)
     return match
+
+
+def validation_reference(inst: Instance) -> None:
+    """Raise the ValidationError that ``Instance._validate`` must raise, or
+    return: the per-name loops that its whole-collection checks replace,
+    in the same fixed order."""
+    for name in list(inst.agents) + list(inst.programs):
+        if not _IDENT.match(name):
+            raise ValidationError(f"bad identifier {name!r}")
+    if len(set(inst.agents)) != len(inst.agents):
+        raise ValidationError("duplicate agent declaration")
+    if len(set(inst.programs)) != len(inst.programs):
+        raise ValidationError("duplicate program declaration")
+    agent_set, program_set = set(inst.agents), set(inst.programs)
+    if set(inst.agent_prefs) != agent_set:
+        raise ValidationError("agent_prefs keys do not match declared agents")
+    for mapping, what in ((inst.program_prefs, "program_prefs"),
+                          (inst.quota, "quota"), (inst.cost, "cost")):
+        if set(mapping) != program_set:
+            raise ValidationError(f"{what} keys do not match declared programs")
+    for a, prefs in inst.agent_prefs.items():
+        if len(set(prefs)) != len(prefs):
+            raise ValidationError(f"duplicate entry in preference list of {a!r}")
+        for p in prefs:
+            if p not in program_set:
+                raise ValidationError(f"agent {a!r} lists unknown program {p!r}")
+    for p, prefs in inst.program_prefs.items():
+        if len(set(prefs)) != len(prefs):
+            raise ValidationError(f"duplicate entry in preference list of {p!r}")
+        for a in prefs:
+            if a not in agent_set:
+                raise ValidationError(f"program {p!r} lists unknown agent {a!r}")
+    for p in inst.programs:
+        if not _is_count(inst.quota[p]):
+            raise ValidationError(f"program {p!r} has negative or non-integer quota")
+        if not _is_count(inst.cost[p]):
+            raise ValidationError(f"program {p!r} has negative or non-integer cost")
+    forward = {(a, p) for a, prefs in inst.agent_prefs.items() for p in prefs}
+    backward = {(a, p) for p, prefs in inst.program_prefs.items() for a in prefs}
+    for a, p in sorted(forward - backward):
+        raise ValidationError(f"agent {a!r} lists {p!r} but not vice versa")
+    for a, p in sorted(backward - forward):
+        raise ValidationError(f"program {p!r} lists {a!r} but not vice versa")
 
 
 def dual_edge_sums(inst: Instance, dual: DualState) -> dict[tuple[str, str], int]:

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
 
-from capmatch import parse_instance
-from capmatch.cli import main
+from capmatch import parse_instance, serialize_instance
+from capmatch.cli import ALGORITHMS, main
+from capmatch.generators import random_instance
 
 from conftest import BINARY_COST_TEXT, CASCADE_TEXT, CONTESTED_SEAT_TEXT
 
@@ -423,6 +425,31 @@ def test_reduce_vertexcover_malformed_eps(instance_file, tmp_path, capsys, eps):
     assert err == f"error: eps must be a fraction, got {eps!r}\n"
 
 
+@pytest.mark.parametrize("command, text, agents", [
+    (["vertexcover", "--k", "2", "--eps", "1/1000000000"], "2\n1 2\n",
+     3_999_999_997),
+    (["setcover"], "1000000 1\n1\n", 2_000_000),
+])
+def test_reduce_past_the_size_limit_exits_three_before_building(
+        instance_file, tmp_path, capsys, command, text, agents):
+    # the unguarded reductions would build billions, then millions, of agents
+    path = instance_file(text, "input.txt")
+    out = tmp_path / "r.txt"
+    tracemalloc.start()
+    try:
+        code = main(["reduce", *command, "--in", path, "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert peak < 4_000_000
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: reduced instance would have {agents} "
+                            "agents, limit 1000000\n")
+    assert not out.exists()
+
+
 # The reduce commands' stdout, byte for byte: ``json.dumps(..., indent=2)``
 # of the budget and the artifact's meta, whose tuples print as lists.
 EXPECTED_SETCOVER_META = """\
@@ -506,3 +533,28 @@ def test_solve_oracle_limit_error_line_is_pinned(instance_file, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: search space 27 exceeds limit 1\n"
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_every_algorithm_writes_declaration_order(tmp_path, capsys, seed):
+    """The JSON shows each solver's matching and augmentation as they are,
+    so every solver must key them in declaration order, with no zero seat."""
+    markets = [
+        (random_instance(40, 9, 4, (0, 1, 2), (0, 1, 2, 5), seed=seed),
+         ("minmax", "psum", "lp")),
+        (random_instance(40, 9, 4, (0,), (1, 3), seed=seed),
+         ("minmax", "psum", "lp", "twocost")),
+        (random_instance(6, 4, 3, (0, 1), (0, 1, 2), seed=seed),
+         ("oracle-minsum", "oracle-minmax")),
+    ]
+    assert {alg for _, algs in markets for alg in algs} == set(ALGORITHMS)
+    path = tmp_path / "market.cap"
+    for inst, algorithms in markets:
+        path.write_text(serialize_instance(inst))
+        for alg in algorithms:
+            assert main(["solve", "--alg", alg, "--in", str(path)]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            matching, aug = doc["matching"], doc["augmentation"]
+            assert list(matching) == [a for a in inst.agents if a in matching]
+            assert list(aug) == [p for p in inst.programs if p in aug]
+            assert all(aug.values())

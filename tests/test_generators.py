@@ -7,12 +7,14 @@ from graphlib import TopologicalSorter
 import pytest
 
 from capmatch import (
+    InstanceTooLarge,
     InvalidParams,
     ParseError,
     UncoverableElement,
     metrics,
     serialize_instance,
 )
+from capmatch import generators
 from capmatch.generators import (
     from_set_cover,
     from_vertex_cover,
@@ -132,8 +134,26 @@ def test_set_cover_rejects_bad_params():
         from_set_cover(2, [], 1)
     with pytest.raises(InvalidParams):
         from_set_cover(2, [{1, 5}], 1)  # element out of range
-    with pytest.raises(UncoverableElement):
-        from_set_cover(2, [{1}], 1)  # nothing contains element 2
+    # the smallest element that no set contains is named
+    for n, sets, missing in ((2, [{1}], 2), (5, [{1, 2, 4}, {5}], 3),
+                             (3, [{2, 3}], 1), (4, [{1, 2}, {2, 3}], 4)):
+        with pytest.raises(UncoverableElement,
+                           match=f"^element {missing} is in no set$"):
+            from_set_cover(n, sets, 1)
+
+
+def test_reductions_stop_past_the_agent_limit(monkeypatch):
+    triangle = [(1, 2), (2, 3), (1, 3)]
+    monkeypatch.setattr(generators, "MAX_REDUCED_AGENTS", 21)
+    assert len(from_vertex_cover(3, triangle, 2, "1/2").instance.agents) == 21
+    monkeypatch.setattr(generators, "MAX_REDUCED_AGENTS", 20)
+    with pytest.raises(InstanceTooLarge, match="would have 21 agents, limit 20"):
+        from_vertex_cover(3, triangle, 2, "1/2")
+    monkeypatch.setattr(generators, "MAX_REDUCED_AGENTS", 12)
+    assert len(from_set_cover(4, [{1, 2}, {3, 4}], 1).instance.agents) == 12
+    monkeypatch.setattr(generators, "MAX_REDUCED_AGENTS", 11)
+    with pytest.raises(InstanceTooLarge, match="would have 12 agents, limit 11"):
+        from_set_cover(4, [{1, 2}, {3, 4}], 1)
 
 
 def test_cover_witness():

@@ -26,6 +26,7 @@ from capmatch import (
     parse_instance,
     serialize_instance,
 )
+from oracles import validation_reference
 
 P1 = "program p1 q=0 c=0 : a1"
 
@@ -58,6 +59,10 @@ TEXT_CASES = {
     "duplicate-name-before-bad-item": "agent a1 : p1\nagent a1 : p-1\n",
     "duplicate-name-before-empty-list": "agent a1 : p1\nagent a1 :\n",
     "quota-before-cost": "program p1 q=x c=y : a1\n",
+    "duplicate-name-before-quota": f"agent a1 : p1\n{P1}\nprogram p1 q=x c=0 : a1\n",
+    "duplicate-name-before-duplicate-item": (
+        f"agent a1 : p1\n{P1}\nprogram p1 q=0 c=0 : a1 a1\n"
+    ),
     "quota-before-bad-item": "program p1 q=x c=0 : a-1\n",
     "negative-quota-before-bad-item": "program p1 q=-1 c=0 : a-1\n",
     "stray-colon": "agent a1 : p1 : p2\n",
@@ -129,6 +134,10 @@ DIRECT_CASES = {
     "negative-quota": (("a1",), ("p1",), _A1, _P1, {"p1": -1}, _Q),
     "float-cost": (("a1",), ("p1",), _A1, _P1, _Q, {"p1": 1.0}),
     "bool-quota": (("a1",), ("p1",), _A1, _P1, {"p1": True}, _Q),
+    "lists-before-counts": (("a1",), ("p1",), {"a1": ("p1", "p2")}, _P1,
+                            {"p1": -1}, _Q),
+    "counts-before-mutuality": (("a1",), ("p1",), _A1, {"p1": ()}, {"p1": -1},
+                                _Q),
     "cost-before-next-quota": (
         ("a1",), ("p1", "p2"), _A1, {"p1": ("a1",), "p2": ()},
         {"p1": 0, "p2": -1}, {"p1": -1, "p2": 0}),
@@ -171,6 +180,8 @@ EXPECTED = {
     'text:duplicate-name-before-bad-item': ('ValidationError', "line 2: duplicate agent 'a1'"),
     'text:duplicate-name-before-empty-list': ('ValidationError', "line 2: duplicate agent 'a1'"),
     'text:quota-before-cost': ('ParseError', "line 1: 'q=x' is not an integer"),
+    'text:duplicate-name-before-quota': ('ValidationError', "line 3: duplicate program 'p1'"),
+    'text:duplicate-name-before-duplicate-item': ('ValidationError', "line 3: duplicate program 'p1'"),
     'text:quota-before-bad-item': ('ParseError', "line 1: 'q=x' is not an integer"),
     'text:negative-quota-before-bad-item': ('ValidationError', "line 1: negative quota for 'p1'"),
     'text:stray-colon': ('ValidationError', "line 1: bad identifier ':'"),
@@ -208,6 +219,8 @@ EXPECTED = {
     'direct:negative-quota': ('ValidationError', "program 'p1' has negative or non-integer quota"),
     'direct:float-cost': ('ValidationError', "program 'p1' has negative or non-integer cost"),
     'direct:bool-quota': ('ValidationError', "program 'p1' has negative or non-integer quota"),
+    'direct:lists-before-counts': ('ValidationError', "agent 'a1' lists unknown program 'p2'"),
+    'direct:counts-before-mutuality': ('ValidationError', "program 'p1' has negative or non-integer quota"),
     'direct:cost-before-next-quota': ('ValidationError', "program 'p1' has negative or non-integer cost"),
     'direct:agent-duplicate-entry-equal-counts': ('ValidationError', "duplicate entry in preference list of 'a1'"),
     'direct:program-duplicate-entry-equal-counts': ('ValidationError', "duplicate entry in preference list of 'p1'"),
@@ -321,8 +334,9 @@ _MUTATIONS = ("drop", "repeat", "foreign", "rename", "redeclare", "unkey",
 @given(instances(), st.lists(st.sampled_from(_MUTATIONS), min_size=1,
                              max_size=3), st.data())
 def test_fast_validation_agrees_with_the_reference_loops(inst, mutations, data):
-    """``_well_formed`` (whole-collection checks) accepts exactly the
-    instances that the per-name loops of ``_raise_first_error`` accept."""
+    """``Instance._validate`` (whole-collection checks) raises the same error
+    class and message as the per-name loops of ``validation_reference``, or
+    passes exactly when they do."""
     agents, programs = list(inst.agents), list(inst.programs)
     lists = {**{("a", a): list(v) for a, v in inst.agent_prefs.items()},
              **{("p", p): list(v) for p, v in inst.program_prefs.items()}}
@@ -362,12 +376,17 @@ def test_fast_validation_agrees_with_the_reference_loops(inst, mutations, data):
         {a: tuple(v) for (side, a), v in lists.items() if side == "a"},
         {p: tuple(v) for (side, p), v in lists.items() if side == "p"},
         quota, cost)
+    assert _verdict(candidate._validate) == _verdict(
+        lambda: validation_reference(candidate))
+
+
+def _verdict(check) -> tuple[str, str]:
+    """(exception class, message) of what ``check`` raises, or ("ok", "")."""
     try:
-        candidate._raise_first_error()
-        reference = True
-    except ValidationError:
-        reference = False
-    assert candidate._well_formed() == reference
+        check()
+    except ValidationError as exc:
+        return type(exc).__name__, str(exc)
+    return "ok", ""
 
 
 if __name__ == "__main__":
