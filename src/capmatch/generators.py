@@ -44,9 +44,6 @@ class ReductionArtifact:
     budget: int
     meta: dict
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "meta", dict(self.meta))
-
 
 def random_instance(n_agents: int, n_programs: int, max_list: int,
                     quota_range, cost_set, *, master_list: bool = False,

@@ -61,9 +61,6 @@ class ProgramClassification:
     # matching, in declaration order; these make up ``fallback_programs``
     parking: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "labels", dict(self.labels))
-
 
 @dataclass(frozen=True)
 class LpApproxRun:
@@ -109,7 +106,7 @@ def lp_approx_run(inst: Instance, emit: Callable[[dict], None] | None = None
     list) per test, faster than two dict probes on lists up to about 24 long
     and about twice as slow on lists hundreds long."""
     require_all_matchable(inst)
-    initial = gale_shapley(inst, dict(inst.quota))
+    initial = gale_shapley(inst, inst.quota)
     classification = classify_programs(inst, initial)
 
     if initial.is_a_perfect(inst):
@@ -147,7 +144,6 @@ def lp_approx_run(inst: Instance, emit: Callable[[dict], None] | None = None
                           "class": labels[p], "phase": PROMOTE})
 
     interim = Matching(assignment)
-    del assignment  # Matching holds its own copy
     _, cost_before_repair, _ = solution_cost(inst, interim)
 
     repair = None
@@ -155,7 +151,7 @@ def lp_approx_run(inst: Instance, emit: Callable[[dict], None] | None = None
         def repair(move: dict) -> None:
             emit({"step": next(steps), **move, "class": labels[move["to"]],
                   "phase": REPAIR})
-    final = envy_free_to_stable(inst, dict(inst.quota), interim, repair)
+    final = envy_free_to_stable(inst, inst.quota, interim, repair)
 
     solution = build_solution(inst, final, "lp")
     return LpApproxRun(solution, initial, classification, cost_before_repair)

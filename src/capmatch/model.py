@@ -20,11 +20,11 @@ Checks are made in two places.  ``parse_instance`` checks what one line
 shows and names the line: the ``:`` separator, the declaration shape, the
 identifier syntax of every token, ``q=``/``c=`` integers and their signs, a
 name declared twice, an empty agent list and a list that repeats an entry.
-A well-formed line is read by one whole-line match per declaration
-kind; every other line (comments, blanks, faults and rare forms such as
-``q=-0``) goes through the per-line checks, which skip it, word its error or
-read it.  Both paths end in one tail: a new name, a non-empty agent list, no
-repeats, then the store.
+A well-formed line is read by one whole-line match per declaration kind;
+every other line (comments, blanks, faults and rare forms such as ``q=-0``)
+goes through the per-line checks, which skip it, word its error or read it.
+Both paths end in one tail: a new name, a non-empty agent list, no repeats,
+then the store.
 ``Instance._validate`` runs on every instance, parsed or built directly, and
 reports without line numbers: it checks what needs the whole instance (every
 listed name is declared, the lists are mutual) and, for instances built
@@ -32,12 +32,18 @@ directly, the per-name rules (identifiers, duplicates, mapping keys, quotas
 and costs).  Each check is one whole-collection operation, and only a failing
 one walks the names to word its error.  The first failing check raises
 ``ParseError`` (malformed syntax) or ``ValidationError`` (a broken model
-rule); which check fires first is fixed, and
-``tests/test_parse_diagnostics.py`` pins it.
+rule), in a fixed order that ``tests/test_parse_diagnostics.py`` pins.
 
 ``parse_instance`` hands out one ``str`` per name from a parse-local dict (not
 ``sys.intern``, whose table outlives the instance): dict probes then match keys
 by identity, and a 15k-agent market keeps 18k name objects, not 123k.
+
+Code copies a container only when it will mutate it.  An instance, matching
+or solution keeps the dicts it is handed (``Instance`` builds a new
+preference dict only to turn lists into tuples).  ``AgentProposals`` copies
+the quotas that ``drop_seat`` lowers, ``_fill_free_seats`` and
+``lp_approx_run`` build their own working assignments, and
+``solve_two_cost`` snapshots what it goes on mutating into its events.
 
 Solutions serialize to a JSON object with fields ``matching`` (unmatched
 agents omitted), ``augmentation`` (zero entries omitted), ``total_cost``,
@@ -79,9 +85,9 @@ _SERIALIZE_SLICE = 1024
 class Instance:
     """Agents, programs, strict mutual preference lists, quotas and seat costs.
 
-    Instances are immutable after construction and validate themselves:
-    identifier syntax, declaration of every referenced name, duplicate-free
-    lists, mutual acceptability, and non-negative quotas and costs.
+    Instances keep the dicts they are given, never mutate them and validate
+    themselves: identifier syntax, declaration of every referenced name,
+    duplicate-free lists, mutual acceptability, non-negative quotas and costs.
     """
 
     agents: tuple[str, ...]
@@ -94,14 +100,10 @@ class Instance:
     def __post_init__(self) -> None:
         object.__setattr__(self, "agents", tuple(self.agents))
         object.__setattr__(self, "programs", tuple(self.programs))
-        object.__setattr__(
-            self, "agent_prefs", {a: tuple(v) for a, v in self.agent_prefs.items()}
-        )
-        object.__setattr__(
-            self, "program_prefs", {p: tuple(v) for p, v in self.program_prefs.items()}
-        )
-        object.__setattr__(self, "quota", dict(self.quota))
-        object.__setattr__(self, "cost", dict(self.cost))
+        for side in ("agent_prefs", "program_prefs"):  # new dicts only for lists
+            lists = getattr(self, side)
+            if not {tuple}.issuperset(map(type, lists.values())):
+                object.__setattr__(self, side, {k: tuple(v) for k, v in lists.items()})
         self._validate()
 
     def _validate(self) -> None:
@@ -204,9 +206,6 @@ class Matching:
 
     assignment: dict[str, str]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "assignment", dict(self.assignment))
-
     def is_a_perfect(self, inst: Instance) -> bool:
         return len(self.assignment) == len(inst.agents)
 
@@ -228,9 +227,6 @@ class AugmentedSolution:
     stable: bool
     algorithm: str
     dual_objective: int | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "aug", dict(self.aug))
 
 
 def parse_instance(text: str) -> Instance:
@@ -302,6 +298,9 @@ def parse_instance(text: str) -> Instance:
             quota[name], cost[name] = q, c
         lists[name] = prefs
 
+    # The name table is dead here, but would stay alive while _validate
+    # builds program_rank and its sets, and so would set the parse's peak.
+    del same
     return Instance(tuple(agent_prefs), tuple(program_prefs), agent_prefs,
                     program_prefs, quota, cost)
 

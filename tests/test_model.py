@@ -125,6 +125,36 @@ def test_instance_rejects_bool_and_float_quota_or_cost(quota, cost):
                  {"p1": quota}, {"p1": cost})
 
 
+def test_instance_keeps_the_dicts_it_is_given():
+    agent_prefs, program_prefs = {"a1": ("p1",)}, {"p1": ("a1",)}
+    quota, cost = {"p1": 1}, {"p1": 2}
+    inst = Instance(("a1",), ("p1",), agent_prefs, program_prefs, quota, cost)
+    assert inst.agent_prefs is agent_prefs
+    assert inst.program_prefs is program_prefs
+    assert inst.quota is quota
+    assert inst.cost is cost
+
+
+def test_instance_turns_lists_into_tuples():
+    program_prefs = {"p1": ("a2", "a1")}  # all tuples: kept as it is
+    inst = Instance(["a1", "a2"], ["p1"], {"a1": ["p1"], "a2": ("p1",)},
+                    program_prefs, {"p1": 1}, {"p1": 2})
+    assert inst.agents == ("a1", "a2") and inst.programs == ("p1",)
+    assert inst.agent_prefs == {"a1": ("p1",), "a2": ("p1",)}
+    assert inst.program_prefs is program_prefs
+    assert parse_instance(serialize_instance(inst)) == inst
+
+
+def test_matching_and_solution_keep_their_dicts(contested_seat):
+    assignment = {"a1": "p1", "a2": "p1"}
+    matching = Matching(assignment)
+    assert matching.assignment is assignment
+    sol = build_solution(contested_seat, matching, "lp")
+    assert sol.matching is matching
+    doc = solution_to_json(contested_seat, sol)
+    assert doc["matching"] is assignment and doc["augmentation"] is sol.aug
+
+
 def test_instance_allows_programmatic_empty_agent_list():
     inst = Instance(("a1",), ("p1",), {"a1": ()}, {"p1": ()},
                     {"p1": 1}, {"p1": 0})

@@ -3,9 +3,14 @@
 Each bound is on the peak of new allocations during one call, above what was
 live when it started (the parsed instance, its ``program_rank`` and the
 inputs).  On the seeded 15k-agent market with Python 3.11 the calls peak at
-about 2.3 MB (``lp``), 1.1 MB (rendering), 1.9 MB (``serialize_instance``)
+about 1.8 MB (``lp``), 1.1 MB (rendering), 1.8 MB (``serialize_instance``)
 and 2.4 MB (``minmax``); a second copy of a per-agent table or a
 whole-document encoder call would cross its bound.
+
+Parsing that market peaks at 5.7 MB and keeps 5.1 MB (the instance and its
+``program_rank``).  Its bound is on the overshoot, the peak above what the
+parse keeps: 0.66 MB.  A copy of the instance's dicts, or a name table kept
+alive while the instance validates, would cross it.
 """
 
 from __future__ import annotations
@@ -70,3 +75,17 @@ def test_minmax(market):
     peak, sol = peak_bytes(solve_minmax, inst)
     assert sol.a_perfect
     assert peak < 2.8 * MB
+
+
+def test_parse_overshoot(market):
+    generated, _ = market
+    text = serialize_instance(generated)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        inst = parse_instance(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(inst.agents) == 15_000
+    assert peak - kept < 1.0 * MB
