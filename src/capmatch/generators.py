@@ -7,10 +7,13 @@ encodes a covering problem:
   unit-cost programs standing for the sets containing it; every set also gets
   one dummy agent per "padding slot", each with a private free fallback
   program.  Opening a set means pulling all its dummies into the set's
-  program, so a cover of size k yields total cost (k + 1) * n and vice versa.
+  program, so with f dummies per set a cover of size k yields total cost
+  n_elem + k * f and vice versa.  Set cover pads with f = n_elem.
 * vertex cover: the universe is the edge set, the sets are vertex
   neighborhoods (every element lands in exactly two sets), and the padding
   width f grows with the desired approximation gap.
+
+Both budgets are therefore n_elem + k * f.
 
 All arithmetic is exact; fractional gap parameters should be passed as
 strings ("1/3") or :class:`fractions.Fraction` to avoid float rounding.
@@ -101,77 +104,28 @@ def random_instance(n_agents: int, n_programs: int, max_list: int,
                     quota, cost)
 
 
-def _normalize_sets(universe_size: int, sets) -> list[tuple[int, ...]]:
+def _normalize_sets(universe_size: int, sets) -> tuple[tuple[int, ...], ...]:
+    """Each set as its sorted distinct members; InvalidParams naming the
+    first member that is not an integer in 1..universe_size.  A set with a
+    non-integer is checked in its own order, so nothing sorts or hashes it."""
     normalized = []
     for j, raw in enumerate(sets, 1):
-        members = sorted(set(raw))
+        members = tuple(raw)
+        if all(type(e) is int for e in members):
+            members = sorted(set(members))
         for e in members:
-            if not isinstance(e, int) or not 1 <= e <= universe_size:
+            if type(e) is not int or not 1 <= e <= universe_size:
                 raise InvalidParams(f"set {j} contains invalid element {e!r}")
         normalized.append(tuple(members))
-    return normalized
-
-
-def _cover_instance(n_elem: int, sets: list[tuple[int, ...]],
-                    dummies_per_set: int) -> Instance:
-    """Shared construction: element agents, set programs, dummy pairs.
-
-    Orderings on both sides follow one master list each (dummies first, then
-    elements; set programs, then fallback programs), so the result keeps the
-    master-list property.
-    """
-    m = len(sets)
-    covered = set().union(*sets)
-    if len(covered) < n_elem:  # every member is in 1..n_elem
-        e = next(e for e in range(1, len(covered) + 2) if e not in covered)
-        raise UncoverableElement(f"element {e} is in no set")
-    member_of: dict[int, list[int]] = {e: [] for e in range(1, n_elem + 1)}
-    for j, members in enumerate(sets, 1):
-        for e in members:
-            member_of[e].append(j)
-
-    agents: list[str] = []
-    programs: list[str] = []
-    agent_prefs: dict[str, tuple[str, ...]] = {}
-    program_prefs: dict[str, tuple[str, ...]] = {}
-    quota: dict[str, int] = {}
-    cost: dict[str, int] = {}
-
-    for j in range(1, m + 1):
-        for slot in range(1, dummies_per_set + 1):
-            u = f"u{j}_{slot}"
-            agents.append(u)
-            agent_prefs[u] = (f"c{j}", f"w{j}_{slot}")
-    for e in range(1, n_elem + 1):
-        a = f"a{e}"
-        agents.append(a)
-        agent_prefs[a] = tuple(f"c{j}" for j in member_of[e])
-
-    for j, members in enumerate(sets, 1):
-        c_name = f"c{j}"
-        programs.append(c_name)
-        dummies = tuple(f"u{j}_{slot}" for slot in range(1, dummies_per_set + 1))
-        program_prefs[c_name] = dummies + tuple(f"a{e}" for e in members)
-        quota[c_name] = 0
-        cost[c_name] = 1
-    for j in range(1, m + 1):
-        for slot in range(1, dummies_per_set + 1):
-            w_name = f"w{j}_{slot}"
-            programs.append(w_name)
-            program_prefs[w_name] = (f"u{j}_{slot}",)
-            quota[w_name] = 0
-            cost[w_name] = 0
-
-    return Instance(tuple(agents), tuple(programs), agent_prefs, program_prefs,
-                    quota, cost)
+    return tuple(normalized)
 
 
 def from_set_cover(universe_size: int, sets, k: int) -> ReductionArtifact:
     """Reduce "is there a cover of at most k sets?" to augmentation cost.
 
     The reduced instance admits an A-perfect stable augmentation of total
-    cost at most ``(k + 1) * n`` exactly when such a cover exists; the budget
-    field carries that threshold.
+    cost at most ``n + k * n`` exactly when such a cover exists (the padding
+    width is ``f = n``); the budget field carries that threshold.
     """
     if universe_size < 1:
         raise InvalidParams("universe must be non-empty")
@@ -181,16 +135,9 @@ def from_set_cover(universe_size: int, sets, k: int) -> ReductionArtifact:
     if not normalized:
         raise InvalidParams("need at least one set")
     _check_size(len(normalized), universe_size, universe_size)
-    inst = _cover_instance(universe_size, normalized, universe_size)
-    budget = (k + 1) * universe_size
-    meta = {
-        "source": "set_cover",
-        "universe": universe_size,
-        "sets": tuple(normalized),
-        "k": k,
-        "dummies_per_set": universe_size,
-    }
-    return ReductionArtifact(inst, budget, meta)
+    meta = {"source": "set_cover", "universe": universe_size,
+            "sets": normalized, "k": k, "dummies_per_set": universe_size}
+    return _reduce(universe_size, normalized, k, universe_size, meta)
 
 
 def from_vertex_cover(n_vertices: int, edges, k: int, eps) -> ReductionArtifact:
@@ -208,40 +155,68 @@ def from_vertex_cover(n_vertices: int, edges, k: int, eps) -> ReductionArtifact:
     gap = _as_fraction(eps)
     if not 0 < gap <= Fraction(1, 2):
         raise InvalidParams("eps must satisfy 0 < eps <= 1/2")
-    edge_list: list[tuple[int, int]] = []
-    seen = set()
+    edge_list: dict[tuple[int, int], None] = {}  # ordered, and the seen set
+    incident: dict[int, list[int]] = {}  # vertex -> 1-based edge indices
     for raw in edges:
-        u, v = raw
-        if not (isinstance(u, int) and isinstance(v, int)):
-            raise InvalidParams(f"bad edge {raw!r}")
-        if not (1 <= u <= n_vertices and 1 <= v <= n_vertices) or u == v:
+        try:
+            u, v = raw
+        except (TypeError, ValueError):
+            raise InvalidParams(f"bad edge {raw!r}") from None
+        if not (isinstance(u, int) and isinstance(v, int) and u != v
+                and 1 <= u <= n_vertices and 1 <= v <= n_vertices):
             raise InvalidParams(f"bad edge {raw!r}")
         key = (min(u, v), max(u, v))
-        if key in seen:
+        if key in edge_list:
             raise InvalidParams(f"duplicate edge {raw!r}")
-        seen.add(key)
-        edge_list.append(key)
+        edge_list[key] = None
+        for x in key:
+            incident.setdefault(x, []).append(len(edge_list))
     if not edge_list:
         raise InvalidParams("graph must have at least one edge")
 
     n_elem = len(edge_list)
     f = math.ceil(2 * n_elem * (1 - gap) / gap)
+    # before the n_vertices-long set tuple exists, which a huge vertex count
+    # would otherwise fill memory with
     _check_size(n_vertices, f, n_elem)
-    incident = [tuple(i + 1 for i, (x, y) in enumerate(edge_list) if v in (x, y))
-                for v in range(1, n_vertices + 1)]
-    inst = _cover_instance(n_elem, incident, f)
-    budget = n_elem + k * f
-    meta = {
-        "source": "vertex_cover",
-        "vertices": n_vertices,
-        "graph_edges": tuple(edge_list),
-        "universe": n_elem,
-        "sets": tuple(incident),
-        "k": k,
-        "eps": str(gap),
-        "dummies_per_set": f,
-    }
-    return ReductionArtifact(inst, budget, meta)
+    sets = tuple(tuple(incident.get(v, ())) for v in range(1, n_vertices + 1))
+    meta = {"source": "vertex_cover", "vertices": n_vertices,
+            "graph_edges": tuple(edge_list), "universe": n_elem, "sets": sets,
+            "k": k, "eps": str(gap), "dummies_per_set": f}
+    return _reduce(n_elem, sets, k, f, meta)
+
+
+def _reduce(n_elem: int, sets, k: int, f: int, meta: dict) -> ReductionArtifact:
+    """Shared tail: element agents, set programs and ``f`` dummy pairs per
+    set, with the budget ``n_elem + k * f``.
+
+    Orderings on both sides follow one master list each (dummies first, then
+    elements; set programs, then fallback programs), so the result keeps the
+    master-list property.  Every member of ``sets`` is in 1..n_elem.
+    """
+    elems = [f"a{e}" for e in range(1, n_elem + 1)]
+    member_of: list[list[str]] = [[] for _ in elems]
+    set_programs = [f"c{j}" for j in range(1, len(sets) + 1)]
+    for c, members in zip(set_programs, sets):
+        for e in members:
+            member_of[e - 1].append(c)
+    if [] in member_of:  # before anything is built
+        raise UncoverableElement(f"element {member_of.index([]) + 1} is in no set")
+    agent_prefs: dict[str, tuple[str, ...]] = {}
+    program_prefs = dict.fromkeys(set_programs)  # fallback programs follow
+    for j, (c, members) in enumerate(zip(set_programs, sets), 1):
+        dummies = []
+        for slot in range(1, f + 1):
+            u, w = f"u{j}_{slot}", f"w{j}_{slot}"
+            dummies.append(u)
+            agent_prefs[u] = (c, w)
+            program_prefs[w] = (u,)
+        program_prefs[c] = (*dummies, *(elems[e - 1] for e in members))
+    agent_prefs.update(zip(elems, map(tuple, member_of)))
+    quota = dict.fromkeys(program_prefs, 0)
+    inst = Instance(tuple(agent_prefs), tuple(program_prefs), agent_prefs,
+                    program_prefs, quota, quota | dict.fromkeys(set_programs, 1))
+    return ReductionArtifact(inst, n_elem + k * f, meta)
 
 
 def _check_size(n_sets: int, dummies_per_set: int, n_elem: int) -> None:
@@ -270,41 +245,31 @@ def _content_lines(text: str, what: str) -> list[tuple[int, str]]:
     return body
 
 
+def _ints(lineno: int, line: str, arity: int | None, shape_msg: str | None,
+          int_msg: str) -> tuple[int, ...]:
+    """The integers on one line: ParseError ``shape_msg`` unless it has
+    ``arity`` tokens (any count when None), ``int_msg`` if one is no integer."""
+    tokens = line.split()
+    if arity is not None and len(tokens) != arity:
+        raise ParseError(f"line {lineno}: {shape_msg}")
+    try:
+        return tuple(map(int, tokens))
+    except ValueError:
+        raise ParseError(f"line {lineno}: {int_msg}") from None
+
+
 def read_set_cover(text: str) -> tuple[int, int, list[tuple[int, ...]]]:
     """Parse "n k" then one line of element indices per set."""
-    body = _content_lines(text, "set-cover")
-    first_no, first = body[0]
-    parts = first.split()
-    if len(parts) != 2:
-        raise ParseError(f"line {first_no}: expected 'n k'")
-    try:
-        n, k = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ParseError(f"line {first_no}: expected integers") from None
-    sets = []
-    for lineno, ln in body[1:]:
-        try:
-            sets.append(tuple(int(tok) for tok in ln.split()))
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-integer element") from None
-    return n, k, sets
+    (first_no, first), *rest = _content_lines(text, "set-cover")
+    n, k = _ints(first_no, first, 2, "expected 'n k'", "expected integers")
+    return n, k, [_ints(no, ln, None, None, "non-integer element")
+                  for no, ln in rest]
 
 
 def read_graph(text: str) -> tuple[int, list[tuple[int, int]]]:
     """Parse "n_vertices" then one "u v" line per edge."""
-    body = _content_lines(text, "graph")
-    first_no, first = body[0]
-    try:
-        n_vertices = int(first)
-    except ValueError:
-        raise ParseError(f"line {first_no}: expected vertex count") from None
-    edges = []
-    for lineno, ln in body[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ParseError(f"line {lineno}: expected 'u v'")
-        try:
-            edges.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-integer vertex") from None
-    return n_vertices, edges
+    (first_no, first), *rest = _content_lines(text, "graph")
+    n_vertices, = _ints(first_no, first, 1, "expected vertex count",
+                        "expected vertex count")
+    return n_vertices, [_ints(no, ln, 2, "expected 'u v'", "non-integer vertex")
+                        for no, ln in rest]

@@ -284,7 +284,7 @@ def solve_two_cost(inst: Instance, emit: Callable[[dict], None] | None = None
 
     matching = Matching({a: assignment[a] for a in inst.agents})
     if emit is not None:
-        emit({"event": "done", "matching": dict(matching.assignment)})
+        emit({"event": "done", "matching": matching.assignment})
     return _finish(inst, dual, matching)
 
 
@@ -296,11 +296,11 @@ def _uniform_cost(inst: Instance, distinct: list[int],
     c = distinct[0] if distinct else 0
     assignment = {a: inst.agent_prefs[a][0] for a in inst.agents}
     if emit is not None:
-        emit({"event": "init", "matching": dict(assignment)})
+        emit({"event": "init", "matching": assignment})
     dual = DualState(y=dict.fromkeys(inst.agents, c))
     matching = Matching(assignment)
     if emit is not None:
-        emit({"event": "done", "matching": dict(assignment)})
+        emit({"event": "done", "matching": assignment})
     return _finish(inst, dual, matching)
 
 

@@ -429,10 +429,13 @@ def test_reduce_vertexcover_malformed_eps(instance_file, tmp_path, capsys, eps):
     (["vertexcover", "--k", "2", "--eps", "1/1000000000"], "2\n1 2\n",
      3_999_999_997),
     (["setcover"], "1000000 1\n1\n", 2_000_000),
+    (["vertexcover", "--k", "1", "--eps", "1/2"], "1000000000000\n1 2\n",
+     2_000_000_000_001),
 ])
 def test_reduce_past_the_size_limit_exits_three_before_building(
         instance_file, tmp_path, capsys, command, text, agents):
-    # the unguarded reductions would build billions, then millions, of agents
+    # the unguarded reductions would build billions, then millions, of
+    # agents, and the last one a trillion vertex sets
     path = instance_file(text, "input.txt")
     out = tmp_path / "r.txt"
     tracemalloc.start()

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import math
+import random
+import re
+from fractions import Fraction
 from graphlib import TopologicalSorter
 
 import pytest
@@ -134,6 +138,13 @@ def test_set_cover_rejects_bad_params():
         from_set_cover(2, [], 1)
     with pytest.raises(InvalidParams):
         from_set_cover(2, [{1, 5}], 1)  # element out of range
+    # a non-integer is named before anything sorts or hashes it
+    for sets, bad in (([{1, "x"}], "'x'"), ([[1, [2]]], r"\[2\]"),
+                      ([[2, True]], "True"), ([(1,), [2.0, "y"]], "2.0")):
+        set_no = len(sets)
+        with pytest.raises(InvalidParams,
+                           match=f"^set {set_no} contains invalid element {bad}$"):
+            from_set_cover(2, sets, 1)
     # the smallest element that no set contains is named
     for n, sets, missing in ((2, [{1}], 2), (5, [{1, 2, 4}, {5}], 3),
                              (3, [{2, 3}], 1), (4, [{1, 2}, {2, 3}], 4)):
@@ -154,6 +165,25 @@ def test_reductions_stop_past_the_agent_limit(monkeypatch):
     monkeypatch.setattr(generators, "MAX_REDUCED_AGENTS", 11)
     with pytest.raises(InstanceTooLarge, match="would have 12 agents, limit 11"):
         from_set_cover(4, [{1, 2}, {3, 4}], 1)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_vertex_cover_sets_are_incidence_lists(seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 9)
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    edges = [pair[::rng.choice((1, -1))]
+             for pair in rng.sample(pairs, rng.randint(1, len(pairs)))]
+    k, eps = rng.randint(1, n), rng.choice(("1/2", "1/3", "2/5"))
+    art = from_vertex_cover(n, edges, k, eps)
+    meta = art.meta
+    assert meta["sets"] == tuple(
+        tuple(i for i, edge in enumerate(edges, 1) if v in edge)
+        for v in range(1, n + 1))
+    assert art.budget == meta["universe"] + k * meta["dummies_per_set"]
+    assert meta["universe"] == len(edges) and meta["k"] == k
+    assert meta["dummies_per_set"] == math.ceil(
+        2 * len(edges) * (1 - Fraction(eps)) / Fraction(eps))
 
 
 def test_cover_witness():
@@ -234,6 +264,10 @@ def test_vertex_cover_rejects_bad_params():
         from_vertex_cover(2, edges, 0, "1/2")
     with pytest.raises(InvalidParams, match="bad edge"):
         from_vertex_cover(2, [(1, 2.0)], 1, "1/2")  # non-integer endpoint
+    # an edge that does not unpack into two values
+    for raw in ((1, 2, 3), 5, (1,), "123"):
+        with pytest.raises(InvalidParams, match=f"^bad edge {re.escape(repr(raw))}$"):
+            from_vertex_cover(3, [raw], 1, "1/2")
     for eps in ("abc", "1/0", "nan", "", None, float("nan")):
         with pytest.raises(InvalidParams, match="eps must be a fraction"):
             from_vertex_cover(2, edges, 1, eps)
@@ -261,6 +295,8 @@ def test_read_set_cover_errors(bad):
     (read_graph, "# n\nthree\n", "line 2: expected vertex count"),
     (read_graph, "3\n# edges\n1 2 3\n", "line 3: expected 'u v'"),
     (read_graph, "3\n1 2\na b\n", "line 3: non-integer vertex"),
+    (read_graph, "3 4\n1 2\n", "line 1: expected vertex count"),
+    (read_set_cover, "2 1 3\n", "line 1: expected 'n k'"),
 ])
 def test_reader_messages(read, bad, message):
     with pytest.raises(ParseError) as caught:

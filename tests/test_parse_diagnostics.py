@@ -115,6 +115,11 @@ DIRECT_CASES = {
                                  {"p1": 0, "": 0}, {"p1": 0, "": 0}),
     "duplicate-agent": (("a1", "a1"), ("p1",), _A1, _P1, _Q, _Q),
     "duplicate-program": (("a1",), ("p1", "p1"), _A1, _P1, _Q, _Q),
+    # equal lengths, every declared name a key, mutual lists: only the
+    # repeated declaration is wrong
+    "duplicate-agent-equal-counts": (
+        ("a1", "a1"), ("p1",), {"a1": ("p1",), "a2": ("p1",)},
+        {"p1": ("a1", "a2")}, _Q, _Q),
     "agent-prefs-keys": (("a1",), ("p1",), {"a1": ("p1",), "a2": ()}, _P1, _Q, _Q),
     "agent-prefs-keys-missing": (("a1", "a2"), ("p1",), _A1, _P1, _Q, _Q),
     "program-prefs-keys": (("a1",), ("p1",), _A1, {}, _Q, _Q),
@@ -205,6 +210,7 @@ EXPECTED = {
     'direct:empty-program-identifier': ('ValidationError', "bad identifier ''"),
     'direct:duplicate-agent': ('ValidationError', 'duplicate agent declaration'),
     'direct:duplicate-program': ('ValidationError', 'duplicate program declaration'),
+    'direct:duplicate-agent-equal-counts': ('ValidationError', 'duplicate agent declaration'),
     'direct:agent-prefs-keys': ('ValidationError', 'agent_prefs keys do not match declared agents'),
     'direct:agent-prefs-keys-missing': ('ValidationError', 'agent_prefs keys do not match declared agents'),
     'direct:program-prefs-keys': ('ValidationError', 'program_prefs keys do not match declared programs'),
