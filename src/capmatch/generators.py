@@ -110,7 +110,10 @@ def _normalize_sets(universe_size: int, sets) -> tuple[tuple[int, ...], ...]:
     non-integer is checked in its own order, so nothing sorts or hashes it."""
     normalized = []
     for j, raw in enumerate(sets, 1):
-        members = tuple(raw)
+        try:
+            members = tuple(raw)
+        except TypeError:
+            raise InvalidParams(f"set {j} is not a collection: {raw!r}") from None
         if all(type(e) is int for e in members):
             members = sorted(set(members))
         for e in members:
@@ -127,6 +130,7 @@ def from_set_cover(universe_size: int, sets, k: int) -> ReductionArtifact:
     cost at most ``n + k * n`` exactly when such a cover exists (the padding
     width is ``f = n``); the budget field carries that threshold.
     """
+    _check_ints(universe_size=universe_size, k=k)
     if universe_size < 1:
         raise InvalidParams("universe must be non-empty")
     if k < 1:
@@ -148,6 +152,7 @@ def from_vertex_cover(n_vertices: int, edges, k: int, eps) -> ReductionArtifact:
     ``f = ceil(2 * n_elem * (1 - eps) / eps)`` with ``n_elem`` the number of
     graph edges, and the budget is ``n_elem + k * f``.
     """
+    _check_ints(n_vertices=n_vertices, k=k)
     if n_vertices < 1:
         raise InvalidParams("graph must have at least one vertex")
     if k < 1:
@@ -162,7 +167,7 @@ def from_vertex_cover(n_vertices: int, edges, k: int, eps) -> ReductionArtifact:
             u, v = raw
         except (TypeError, ValueError):
             raise InvalidParams(f"bad edge {raw!r}") from None
-        if not (isinstance(u, int) and isinstance(v, int) and u != v
+        if not (type(u) is int and type(v) is int and u != v
                 and 1 <= u <= n_vertices and 1 <= v <= n_vertices):
             raise InvalidParams(f"bad edge {raw!r}")
         key = (min(u, v), max(u, v))
@@ -217,6 +222,13 @@ def _reduce(n_elem: int, sets, k: int, f: int, meta: dict) -> ReductionArtifact:
     inst = Instance(tuple(agent_prefs), tuple(program_prefs), agent_prefs,
                     program_prefs, quota, quota | dict.fromkeys(set_programs, 1))
     return ReductionArtifact(inst, n_elem + k * f, meta)
+
+
+def _check_ints(**params) -> None:
+    """InvalidParams naming the first parameter not of type int; a bool fails."""
+    for name, value in params.items():
+        if type(value) is not int:
+            raise InvalidParams(f"{name} must be an integer, got {value!r}")
 
 
 def _check_size(n_sets: int, dummies_per_set: int, n_elem: int) -> None:

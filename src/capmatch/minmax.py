@@ -16,7 +16,9 @@ from __future__ import annotations
 
 from .errors import InvariantBroken
 from .model import AugmentedSolution, Instance, Matching, require_all_matchable
-from .stability import AgentProposals, build_solution, gale_shapley
+# gale_shapley is not called here; it stays importable from this module, as
+# before, and bench/test_bench.py counts this binding site.
+from .stability import AgentProposals, build_solution, gale_shapley  # noqa: F401
 
 
 def candidate_costs(inst: Instance) -> tuple[int, ...]:
@@ -26,7 +28,7 @@ def candidate_costs(inst: Instance) -> tuple[int, ...]:
         c = inst.cost[p]
         if c > 0:
             room = len(inst.program_prefs[p]) - inst.quota[p]
-            vals.update(c * k for k in range(1, room + 1))
+            vals.update(range(c, c * room + 1, c))
     return tuple(sorted(vals))
 
 
@@ -47,10 +49,11 @@ def budget_quotas(inst: Instance, t: int) -> dict[str, int]:
 
 
 def feasible_at(inst: Instance, t: int) -> bool:
-    """True when deferred acceptance under the budget quotas matches everyone."""
+    """True when deferred acceptance under the budget quotas matches everyone;
+    it stops at the first agent to run off its list, who stays unmatched."""
     require_all_matchable(inst)
-    matching = gale_shapley(inst, budget_quotas(inst, t))
-    return matching.is_a_perfect(inst)
+    state = AgentProposals(inst, budget_quotas(inst, t))
+    return all(state.propose(a, 0) for a in inst.agents)
 
 
 def solve_minmax(inst: Instance) -> AugmentedSolution:
@@ -64,9 +67,12 @@ def solve_minmax(inst: Instance) -> AugmentedSolution:
     for p in inst.programs:
         c = inst.cost[p]
         if c:
-            for k in range(1, len(inst.program_prefs[p]) - inst.quota[p] + 1):
-                drops[index[c * k]].append(p)
+            room = len(inst.program_prefs[p]) - inst.quota[p]
+            for v in range(c, c * room + 1, c):
+                drops[index[v]].append(p)
     state = AgentProposals(inst, budget_quotas(inst, values[-1]))
+    for a in inst.agents:
+        state.propose(a, 0)
     best = len(values) - 1
     while best:
         moved: list[tuple[str, int]] = []

@@ -20,11 +20,11 @@ Checks are made in two places.  ``parse_instance`` checks what one line
 shows and names the line: the ``:`` separator, the declaration shape, the
 identifier syntax of every token, ``q=``/``c=`` integers and their signs, a
 name declared twice, an empty agent list and a list that repeats an entry.
-A well-formed line is read by one whole-line match per declaration kind;
-every other line (comments, blanks, faults and rare forms such as ``q=-0``)
-goes through the per-line checks, which skip it, word its error or read it.
-Both paths end in one tail: a new name, a non-empty agent list, no repeats,
-then the store.
+A fast pass stores each whole-line match unchecked.  It gives up at any other
+line that is not blank or a comment (a fault, or a rare form such as
+``q=-0``), or when counts show a duplicate name or an empty agent list (a
+repeated entry fails mutuality); only then, or when its instance fails to
+validate, do the per-line checks re-read the text and name the first fault.
 ``Instance._validate`` runs on every instance, parsed or built directly, and
 reports without line numbers: it checks what needs the whole instance (every
 listed name is declared, the lists are mutual) and, for instances built
@@ -58,7 +58,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice, repeat
-from operator import contains
+from operator import contains, eq
 from typing import NamedTuple
 
 from .errors import InvalidMatching, ParseError, UnmatchableAgent, ValidationError
@@ -116,17 +116,23 @@ class Instance:
                 and all(programs) and _IDENT_CHARS.match("".join(programs))):
             bad = next(n for n in chain(agents, programs) if not _IDENT.match(n))
             raise ValidationError(f"bad identifier {bad!r}")
-        agent_set, program_set = set(agents), set(programs)
-        for names, known, kind in ((agents, agent_set, "agent"),
-                                   (programs, program_set, "program")):
-            if len(known) != len(names):
-                raise ValidationError(f"duplicate {kind} declaration")
-        if self.agent_prefs.keys() != agent_set:
-            raise ValidationError("agent_prefs keys do not match declared agents")
-        for mapping, what in ((self.program_prefs, "program_prefs"),
-                              (self.quota, "quota"), (self.cost, "cost")):
-            if mapping.keys() != program_set:
-                raise ValidationError(f"{what} keys do not match declared programs")
+        # Names running along a dict's keys are distinct and are its keys.
+        keys = self.program_prefs.keys()
+        if not (len(agents) == len(self.agent_prefs)
+                and all(map(eq, agents, self.agent_prefs))
+                and len(programs) == len(keys) and all(map(eq, programs, keys))
+                and self.quota.keys() == keys and self.cost.keys() == keys):
+            agent_set, program_set = set(agents), set(programs)
+            for names, known, kind in ((agents, agent_set, "agent"),
+                                       (programs, program_set, "program")):
+                if len(known) != len(names):
+                    raise ValidationError(f"duplicate {kind} declaration")
+            if self.agent_prefs.keys() != agent_set:
+                raise ValidationError("agent_prefs keys do not match declared agents")
+            for mapping, what in ((self.program_prefs, "program_prefs"),
+                                  (self.quota, "quota"), (self.cost, "cost")):
+                if mapping.keys() != program_set:
+                    raise ValidationError(f"{what} keys do not match declared programs")
         # Mutuality, off the program rank table that deferred acceptance builds
         # anyway: equal entry counts, no repeat in an agent list and each entry
         # in its program's rank dict make the edge sets equal, all declared.
@@ -139,8 +145,8 @@ class Instance:
                           for a, prefs in self.agent_prefs.items() for p in prefs))
         if not mutual:  # a repeat or an unknown name is worded before counts
             for kind, lists, other, known in (
-                    ("agent", self.agent_prefs, "program", program_set),
-                    ("program", self.program_prefs, "agent", agent_set)):
+                    ("agent", self.agent_prefs, "program", set(programs)),
+                    ("program", self.program_prefs, "agent", set(agents))):
                 for name, prefs in lists.items():
                     if len(set(prefs)) != len(prefs):
                         raise ValidationError(
@@ -231,6 +237,16 @@ class AugmentedSolution:
 
 def parse_instance(text: str) -> Instance:
     """Parse instance-file text; ParseError/ValidationError carry line numbers."""
+    try:
+        inst = _read_instance(text, careful=False)
+    except ValidationError:
+        inst = None
+    return inst or _read_instance(text, careful=True)
+
+
+def _read_instance(text: str, careful: bool) -> Instance | None:
+    """The instance the lines declare.  A careful read checks each line; a
+    fast one returns None where a line or the counts need a check."""
     agent_prefs: dict[str, tuple[str, ...]] = {}
     program_prefs: dict[str, tuple[str, ...]] = {}
     quota: dict[str, int] = {}
@@ -238,10 +254,8 @@ def parse_instance(text: str) -> Instance:
 
     same = {}.setdefault  # first occurrence of each name -> that one object
     agent_line, program_line = _AGENT_LINE.match, _PROGRAM_LINE.match
+    lineno = skipped = 0
     for lineno, raw in enumerate(text.splitlines(), 1):
-        # A whole-line match reads a well-formed declaration; every other line
-        # goes through the per-line checks, which skip it, word its error or
-        # read it.  Both paths end in the checks and the store below.
         match = agent_line(raw)
         if match:
             lists = agent_prefs
@@ -253,7 +267,10 @@ def parse_instance(text: str) -> Instance:
         else:
             line = raw.strip()
             if not line or line.startswith("#"):
+                skipped += 1
                 continue
+            if not careful:
+                return None
             head, sep, tail = line.partition(":")
             if not sep:
                 raise ParseError(f"line {lineno}: expected ':' separator")
@@ -284,22 +301,26 @@ def parse_instance(text: str) -> Instance:
                 for token in tail.split():
                     _check_ident(token, lineno)
         items = tail.split()
-        if name in lists:
-            kind = "agent" if lists is agent_prefs else "program"
-            raise ValidationError(f"line {lineno}: duplicate {kind} {name!r}")
-        if not items and lists is agent_prefs:
-            raise ValidationError(
-                f"line {lineno}: agent {name!r} has an empty preference list")
+        if careful:
+            if name in lists:
+                kind = "agent" if lists is agent_prefs else "program"
+                raise ValidationError(f"line {lineno}: duplicate {kind} {name!r}")
+            if not items and lists is agent_prefs:
+                raise ValidationError(
+                    f"line {lineno}: agent {name!r} has an empty preference list")
         prefs = tuple(map(same, items, items))
-        if len(set(prefs)) != len(prefs):
+        if careful and len(set(prefs)) != len(prefs):
             raise ValidationError(f"line {lineno}: duplicate entry in preference list")
         name = same(name, name)
         if lists is program_prefs:
             quota[name], cost[name] = q, c
         lists[name] = prefs
 
+    if not careful and (lineno - skipped != len(agent_prefs) + len(program_prefs)
+                        or not all(agent_prefs.values())):
+        return None
     # The name table is dead here, but would stay alive while _validate
-    # builds program_rank and its sets, and so would set the parse's peak.
+    # builds program_rank, and so would set the parse's peak.
     del same
     return Instance(tuple(agent_prefs), tuple(program_prefs), agent_prefs,
                     program_prefs, quota, cost)

@@ -72,7 +72,10 @@ def gale_shapley(inst: Instance, quotas: dict[str, int]) -> Matching:
     match the same set of agents.
     """
     _check_quotas(inst, quotas)
-    return Matching(AgentProposals(inst, quotas).assignment())
+    state = AgentProposals(inst, quotas)
+    for a in inst.agents:
+        state.propose(a, 0)
+    return Matching(state.assignment())
 
 
 def _check_quotas(inst: Instance, quotas: dict[str, int]) -> None:
@@ -88,7 +91,8 @@ class AgentProposals:
     the result does not depend on the order of proposals (McVitie & Wilson,
     1971).  ``pos[a]`` is the position of a's program on its list, or the
     list's length once a ran off it.  A roster is a list while it has a free
-    seat, then a max-heap of (-rank, agent) (Gusfield & Irving, 1989)."""
+    seat, then a max-heap of (-rank, agent) (Gusfield & Irving, 1989).
+    The caller starts it by proposing each agent from position 0."""
 
     def __init__(self, inst: Instance, quotas: dict[str, int]) -> None:
         self.agent_prefs = inst.agent_prefs
@@ -96,8 +100,6 @@ class AgentProposals:
         self.quotas = dict(quotas)
         self.roster: dict[str, list] = {p: [] for p in inst.programs}
         self.pos = dict.fromkeys(inst.agents, 0)
-        for a in inst.agents:
-            self.propose(a, 0)
 
     def propose(self, a: str, k: int,
                 moved: list[tuple[str, int]] | None = None) -> bool:

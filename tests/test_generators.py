@@ -145,6 +145,15 @@ def test_set_cover_rejects_bad_params():
         with pytest.raises(InvalidParams,
                            match=f"^set {set_no} contains invalid element {bad}$"):
             from_set_cover(2, sets, 1)
+    # sizes and budgets are ints, never bools or floats
+    for n, k, bad in ((2, True, "k must be an integer, got True"),
+                      (2, 1.0, "k must be an integer, got 1.0"),
+                      (2.0, 1, "universe_size must be an integer, got 2.0"),
+                      (True, 1, "universe_size must be an integer, got True")):
+        with pytest.raises(InvalidParams, match=f"^{bad}$"):
+            from_set_cover(n, [{1, 2}], k)
+    with pytest.raises(InvalidParams, match="^set 2 is not a collection: 5$"):
+        from_set_cover(2, [{1, 2}, 5], 1)
     # the smallest element that no set contains is named
     for n, sets, missing in ((2, [{1}], 2), (5, [{1, 2, 4}, {5}], 3),
                              (3, [{2, 3}], 1), (4, [{1, 2}, {2, 3}], 4)):
@@ -264,6 +273,15 @@ def test_vertex_cover_rejects_bad_params():
         from_vertex_cover(2, edges, 0, "1/2")
     with pytest.raises(InvalidParams, match="bad edge"):
         from_vertex_cover(2, [(1, 2.0)], 1, "1/2")  # non-integer endpoint
+    for raw in ((True, 2), (1, True)):
+        with pytest.raises(InvalidParams, match=f"^bad edge {re.escape(repr(raw))}$"):
+            from_vertex_cover(3, [raw], 1, "1/2")
+    for n, k, bad in ((3, 1.5, "k must be an integer, got 1.5"),
+                      (3, True, "k must be an integer, got True"),
+                      (3.0, 1, "n_vertices must be an integer, got 3.0"),
+                      (True, 1, "n_vertices must be an integer, got True")):
+        with pytest.raises(InvalidParams, match=f"^{bad}$"):
+            from_vertex_cover(n, edges, k, "1/2")
     # an edge that does not unpack into two values
     for raw in ((1, 2, 3), 5, (1,), "123"):
         with pytest.raises(InvalidParams, match=f"^bad edge {re.escape(repr(raw))}$"):
