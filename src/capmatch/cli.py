@@ -44,7 +44,17 @@ from .twocost import solve_two_cost
 # Entries of a flat dict that one encoder call takes in _indented_json.
 _JSON_SLICE = 4096
 
-ALGORITHMS = ("minmax", "psum", "lp", "twocost", "oracle-minsum", "oracle-minmax")
+# Each --alg and its solver call on (instance, --trace callable, --limit).
+# A call looks its solver up in this module, where bench/spans.py binds spans.
+_SOLVERS = {
+    "minmax": lambda inst, emit, limit: solve_minmax(inst),
+    "psum": lambda inst, emit, limit: solve_p_approx(inst),
+    "lp": lambda inst, emit, limit: lp_approx_run(inst, emit).solution,
+    "twocost": lambda inst, emit, limit: solve_two_cost(inst, emit)[0],
+    "oracle-minsum": lambda inst, emit, limit: brute_force_minsum(inst, limit=limit),
+    "oracle-minmax": lambda inst, emit, limit: brute_force_minmax(inst, limit=limit),
+}
+ALGORITHMS = tuple(_SOLVERS)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -116,19 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def run_solve(args: argparse.Namespace) -> int:
     inst = parse_instance(_read(args.infile))
     emit = _print_event if args.trace else None
-    if args.alg == "minmax":
-        sol = solve_minmax(inst)
-    elif args.alg == "psum":
-        sol = solve_p_approx(inst)
-    elif args.alg == "lp":
-        sol = lp_approx_run(inst, emit).solution
-    elif args.alg == "twocost":
-        sol, _ = solve_two_cost(inst, emit)
-    elif args.alg == "oracle-minsum":
-        sol = brute_force_minsum(inst, limit=args.limit)
-    else:
-        sol = brute_force_minmax(inst, limit=args.limit)
-
+    sol = _SOLVERS[args.alg](inst, emit, args.limit)
     doc = solution_to_json(inst, sol)
     payload = _render(doc, args.format)
     _write(args.out, payload)
@@ -181,38 +179,14 @@ def _indented_json(value, depth: int = 0) -> str:
 
 def run_verify(args: argparse.Namespace) -> int:
     inst = parse_instance(_read(args.infile))
-    report = verify_solution(inst, _load_solution(_read(args.solution)))
-    print(_indented_json(report))
-    return 0 if report["valid"] else 1
-
-
-def _load_solution(text: str) -> dict:
     try:
-        doc = json.loads(text)
+        doc = json.loads(_read(args.solution))
     except (ValueError, RecursionError) as exc:
         # ValueError covers JSONDecodeError and integers past the digit limit
         raise ParseError(f"solution is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ParseError("solution document must be a JSON object")
-    required = ("matching", "augmentation", "total_cost", "max_cost",
-                "a_perfect", "stable")
-    for key in required:
-        if key not in doc:
-            raise ParseError(f"solution document lacks {key!r}")
-    if not isinstance(doc["matching"], dict) or \
-            not all(isinstance(v, str) for v in doc["matching"].values()):
-        raise ParseError("matching must map agents to programs")
-    if not isinstance(doc["augmentation"], dict) or \
-            not all(isinstance(v, int) and not isinstance(v, bool)
-                    for v in doc["augmentation"].values()):
-        raise ParseError("augmentation must map programs to integers")
-    for key in ("total_cost", "max_cost"):
-        if not isinstance(doc[key], int) or isinstance(doc[key], bool):
-            raise ParseError(f"{key} must be an integer")
-    for key in ("a_perfect", "stable"):
-        if not isinstance(doc[key], bool):
-            raise ParseError(f"{key} must be a boolean")
-    return doc
+    report = verify_solution(inst, doc)
+    print(_indented_json(report))
+    return 0 if report["valid"] else 1
 
 
 def run_gen_random(args: argparse.Namespace) -> int:

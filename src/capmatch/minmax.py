@@ -61,22 +61,19 @@ def solve_minmax(inst: Instance) -> AugmentedSolution:
     trimmed to the seats the final matching actually uses."""
     require_all_matchable(inst)
     values = candidate_costs(inst)
-    # drops[i]: programs whose k-th extra seat costs c*k = values[i]
-    index = {v: i for i, v in enumerate(values)}
-    drops: list[list[str]] = [[] for _ in values]
+    # drops[v]: programs whose k-th extra seat costs c*k = v
+    drops: dict[int, list[str]] = {v: [] for v in values}
     for p in inst.programs:
-        c = inst.cost[p]
-        if c:
-            room = len(inst.program_prefs[p]) - inst.quota[p]
-            for v in range(c, c * room + 1, c):
-                drops[index[v]].append(p)
+        if c := inst.cost[p]:
+            for v in range(c, c * (len(inst.program_prefs[p]) - inst.quota[p]) + 1, c):
+                drops[v].append(p)
     state = AgentProposals(inst, budget_quotas(inst, values[-1]))
     for a in inst.agents:
         state.propose(a, 0)
     best = len(values) - 1
     while best:
         moved: list[tuple[str, int]] = []
-        if not all(state.drop_seat(p, moved) for p in drops[best]):
+        if not all(state.drop_seat(p, moved) for p in drops[values[best]]):
             for a, k in reversed(moved):  # undo the infeasible step
                 state.pos[a] = k
             break

@@ -82,12 +82,9 @@ def classify_programs(inst: Instance, initial: Matching) -> ProgramClassificatio
     parking = tuple(least_cost_program(inst, a) for a in inst.agents
                     if a not in matched)
     fallback = frozenset(parking)
-    labels = {}
-    for p in inst.programs:
-        if p in empty:
-            labels[p] = EMPTY_FALLBACK if p in fallback else EMPTY
-        else:
-            labels[p] = OCCUPIED_FALLBACK if p in fallback else OCCUPIED
+    table = {(False, False): OCCUPIED, (False, True): OCCUPIED_FALLBACK,
+             (True, False): EMPTY, (True, True): EMPTY_FALLBACK}
+    labels = {p: table[p in empty, p in fallback] for p in inst.programs}
     return ProgramClassification(empty, fallback, labels, parking)
 
 
@@ -102,9 +99,7 @@ def lp_approx_run(inst: Instance, emit: Callable[[dict], None] | None = None
     and ``repair`` afterwards.
 
     The sweep reads "does a prefer p to its program?" off a's own list with
-    ``tuple.index``, so no agent-side rank table is built: O(position in a's
-    list) per test, faster than two dict probes on lists up to about 24 long
-    and about twice as slow on lists hundreds long."""
+    ``tuple.index``, for the reason :attr:`Instance.agent_rank` gives."""
     require_all_matchable(inst)
     initial = gale_shapley(inst, inst.quota)
     classification = classify_programs(inst, initial)

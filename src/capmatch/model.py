@@ -112,9 +112,14 @@ class Instance:
         Each check is one whole-collection operation, run in a fixed order;
         only a failing check walks the names to word its error."""
         agents, programs = self.agents, self.programs
-        if not (all(agents) and _IDENT_CHARS.match("".join(agents))
-                and all(programs) and _IDENT_CHARS.match("".join(programs))):
-            bad = next(n for n in chain(agents, programs) if not _IDENT.match(n))
+        try:
+            good = (all(agents) and _IDENT_CHARS.match("".join(agents))
+                    and all(programs) and _IDENT_CHARS.match("".join(programs)))
+        except TypeError:  # join met a name that is not a str
+            good = False
+        if not good:
+            bad = next(n for n in chain(agents, programs)
+                       if not (isinstance(n, str) and _IDENT.match(n)))
             raise ValidationError(f"bad identifier {bad!r}")
         # Names running along a dict's keys are distinct and are its keys.
         keys = self.program_prefs.keys()
@@ -172,8 +177,11 @@ class Instance:
     @cached_property
     def agent_rank(self) -> dict[str, dict[str, int]]:
         """``agent_rank[a][p]`` is the 0-based position of p in a's list.
-        Nothing in ``src/`` reads it: the solvers read an agent's own list.
-        Tests read it as their reference and ``bench/spans.py`` wraps it."""
+        Nothing in ``src/`` reads it: the solvers read "does a prefer p to q?"
+        off a's own tuple with ``tuple.index``, O(position in a's list) per
+        test, faster than two dict probes on lists up to about 24 long and
+        about twice as slow on lists hundreds long.  Tests read it as their
+        reference and ``bench/spans.py`` wraps it."""
         return {a: {p: i for i, p in enumerate(prefs)}
                 for a, prefs in self.agent_prefs.items()}
 
@@ -420,17 +428,18 @@ def solution_cost(inst: Instance, matching: Matching) -> tuple[dict[str, int], i
     """
     load = Counter(matching.assignment.values())
     aug: dict[str, int] = {}
-    total = 0
-    biggest = 0
     for p in inst.programs:
         over = load[p] - inst.quota[p]
         if over > 0:
             aug[p] = over
-            spend = over * inst.cost[p]
-            total += spend
-            if spend > biggest:
-                biggest = spend
-    return aug, total, biggest
+    return (aug, *augmentation_spend(inst, aug))
+
+
+def augmentation_spend(inst: Instance, aug: dict[str, int]) -> tuple[int, int]:
+    """``(total, max)`` spend of ``aug``: its cost-weighted sum and its
+    largest single-program spend (0 when it is empty)."""
+    spends = [v * inst.cost[p] for p, v in aug.items()]
+    return sum(spends), max(spends, default=0)
 
 
 def solution_to_json(inst: Instance, sol: AugmentedSolution) -> dict:

@@ -20,11 +20,13 @@ from itertools import compress, count, repeat
 from operator import lt, ne
 from typing import Callable
 
-from .errors import InvalidMatching, InvariantBroken, NotEnvyFree, ValidationError
+from .errors import (InvalidMatching, InvariantBroken, NotEnvyFree, ParseError,
+                     ValidationError)
 from .model import (
     AugmentedSolution,
     Instance,
     Matching,
+    augmentation_spend,
     solution_cost,
     validate_matching,
 )
@@ -195,6 +197,7 @@ def _scan_blocking(inst: Instance, matching: Matching,
 def blocking_pairs(inst: Instance, quotas: dict[str, int],
                    matching: Matching) -> BlockingReport:
     """All blocking pairs of ``matching`` under ``quotas`` (must be respected)."""
+    _check_quotas(inst, quotas)
     validate_matching(inst, matching, quotas)
     return _scan_blocking(inst, matching, quotas)
 
@@ -257,8 +260,7 @@ def _fill_free_seats(inst: Instance, quotas: dict[str, int],
     E edges and P programs, instead of O(moves * P).
 
     "Does a prefer p to its program?" is read off a's own list with
-    ``tuple.index``, so no agent-side rank table is built: O(position in a's
-    list) per test, faster than two dict probes on lists up to about 24 long.
+    ``tuple.index``, for the reason :attr:`Instance.agent_rank` gives.
     """
     agent_prefs, program_prefs, programs = (inst.agent_prefs, inst.program_prefs,
                                             inst.programs)
@@ -333,12 +335,32 @@ def verify_solution(inst: Instance, doc: dict) -> dict:
     """Recheck a solution document (the shape :func:`solution_to_json` writes)
     against ``inst``: the report ``capmatch verify`` prints.
 
-    The report lists violations of kind ``matching`` (unknown agent or
-    program, or a non-edge pair) and ``augmentation`` (unknown program or a
-    negative count); when there are any, capacity, totals and flags are not
-    checked.  Otherwise it lists ``capacity`` shortfalls, ``totals`` that do
-    not match the augmentation's spend, and ``flags`` that do not recompute,
-    and an unstable matching adds its ``blocking`` report."""
+    A malformed document raises ParseError.  The report lists violations of
+    kind ``matching`` (unknown agent or program, or a non-edge pair) and
+    ``augmentation`` (unknown program or a negative count); when there are
+    any, capacity, totals and flags are not checked.  Otherwise it lists
+    ``capacity`` shortfalls, ``totals`` that do not match the augmentation's
+    spend, and ``flags`` that do not recompute, and an unstable matching adds
+    its ``blocking`` report."""
+    if not isinstance(doc, dict):
+        raise ParseError("solution document must be a JSON object")
+    for key in ("matching", "augmentation", "total_cost", "max_cost",
+                "a_perfect", "stable"):
+        if key not in doc:
+            raise ParseError(f"solution document lacks {key!r}")
+    if not isinstance(doc["matching"], dict) or \
+            not all(isinstance(v, str) for v in doc["matching"].values()):
+        raise ParseError("matching must map agents to programs")
+    aug = doc["augmentation"]
+    if not isinstance(aug, dict) or not all(
+            isinstance(v, int) and not isinstance(v, bool) for v in aug.values()):
+        raise ParseError("augmentation must map programs to integers")
+    for key in ("total_cost", "max_cost"):
+        if not isinstance(doc[key], int) or isinstance(doc[key], bool):
+            raise ParseError(f"{key} must be an integer")
+    for key in ("a_perfect", "stable"):
+        if not isinstance(doc[key], bool):
+            raise ParseError(f"{key} must be a boolean")
     matching = Matching(doc["matching"])
     violations: list[dict] = []
     try:
@@ -354,7 +376,6 @@ def verify_solution(inst: Instance, doc: dict) -> dict:
             else:
                 continue
             violations.append({"kind": "matching", "detail": detail})
-    aug = doc["augmentation"]
     for p, v in aug.items():
         if p not in inst.program_prefs:
             detail = f"unknown program {p!r}"
@@ -374,9 +395,7 @@ def verify_solution(inst: Instance, doc: dict) -> dict:
                 "detail": f"program {p!r} needs {extra} extra seats, "
                           f"solution grants {aug.get(p, 0)}",
             })
-    spends = [v * inst.cost[p] for p, v in aug.items()]
-    for key, value in (("total_cost", sum(spends)),
-                       ("max_cost", max(spends, default=0))):
+    for key, value in zip(("total_cost", "max_cost"), augmentation_spend(inst, aug)):
         if value != doc[key]:
             violations.append({"kind": "totals",
                                "detail": f"{key} is {value}, "
@@ -390,3 +409,4 @@ def verify_solution(inst: Instance, doc: dict) -> dict:
     if not stable:
         out["blocking"] = report.to_json()
     return out
+

@@ -27,8 +27,8 @@ Bookkeeping is incremental: a step costs work proportional to what it
 changes.  Edge left-hand sides are cached, thresholds are cursors and free
 promotions come off a heap (``_Promoter``); the terminal check recomputes
 every edge from the dual alone in one pass over ``z``.  "Does a prefer p to
-q?" is answered from a's own preference tuple (``tuple.index``), so no
-agent-side rank table is built: O(position in a's list) per question.
+q?" is read off a's own list with ``tuple.index``, for the reason
+``Instance.agent_rank`` gives.
 
 With fewer than two distinct costs every A-perfect matching costs the same,
 so the solver just hands each agent its first choice.
@@ -255,19 +255,21 @@ def solve_two_cost(inst: Instance, emit: Callable[[dict], None] | None = None
                 raised = mine[:mine.index(pz) + 1]
                 lhs[(a, pz)] -= gap
                 promoter.touch(a)
-                event = {"event": "z_update", "preferred": mover, "program": pz,
-                         "agent": a, "value": dual.z[key]}
             else:
                 mover = a
                 dual.y[a] += gap
                 raised = prefs[a]
-                event = {"event": "y_update", "agent": a, "value": dual.y[a]}
             for p in raised:
                 lhs[(mover, p)] += gap
             promoter.touch(mover)
             if emit is not None:
-                event["tight"] = [p for p in prefs[mover] if promoter.tight(mover, p)]
-                emit(event)
+                tight = [p for p in prefs[mover] if promoter.tight(mover, p)]
+                if mover == a:  # a helper is never a: it is another's threshold
+                    emit({"event": "y_update", "agent": a, "value": dual.y[a],
+                          "tight": tight})
+                else:
+                    emit({"event": "z_update", "preferred": mover, "program": pz,
+                          "agent": a, "value": dual.z[key], "tight": tight})
             dest = promoter.matchable(mover)
             if dest is not None:
                 old = promoter.move(mover, dest)

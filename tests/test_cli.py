@@ -7,9 +7,10 @@ import tracemalloc
 
 import pytest
 
-from capmatch import parse_instance, serialize_instance
+from capmatch import ParseError, parse_instance, serialize_instance
 from capmatch.cli import ALGORITHMS, main
 from capmatch.generators import random_instance
+from capmatch.stability import verify_solution
 
 from conftest import BINARY_COST_TEXT, CASCADE_TEXT, CONTESTED_SEAT_TEXT
 
@@ -295,9 +296,10 @@ def test_verify_malformed_solution(instance_file, tmp_path, capsys):
 
 
 SCALARS = {"total_cost": 0, "max_cost": 0, "a_perfect": True, "stable": True}
+NO_STABLE = {"matching": {}, "augmentation": {}, "total_cost": 0,
+             "max_cost": 0, "a_perfect": True}
 
-
-@pytest.mark.parametrize("doc, message", [
+MALFORMED_DOCUMENTS = pytest.mark.parametrize("doc, message", [
     ([], "solution document must be a JSON object"),
     ({"matching": {"a1": 1}, "augmentation": {}, **SCALARS},
      "matching must map agents to programs"),
@@ -307,8 +309,20 @@ SCALARS = {"total_cost": 0, "max_cost": 0, "a_perfect": True, "stable": True}
      "augmentation must map programs to integers"),
     ({"matching": {}, "augmentation": [], **SCALARS},
      "augmentation must map programs to integers"),
+    ({"matching": {}}, "solution document lacks 'augmentation'"),
+    (NO_STABLE, "solution document lacks 'stable'"),
+    ({"matching": {}, "augmentation": {"p1": "x"}, **SCALARS},
+     "augmentation must map programs to integers"),
+    ({"matching": {}, "augmentation": {}, **SCALARS, "total_cost": "0"},
+     "total_cost must be an integer"),
+    ({"matching": {}, "augmentation": {}, **SCALARS, "stable": 1},
+     "stable must be a boolean"),
 ], ids=["array", "program-not-a-name", "matching-array", "count-not-an-int",
-        "augmentation-array"])
+        "augmentation-array", "lacks-augmentation", "lacks-stable",
+        "count-a-string", "total-cost-not-an-int", "stable-not-a-bool"])
+
+
+@MALFORMED_DOCUMENTS
 def test_verify_rejects_malformed_document(instance_file, tmp_path, capsys,
                                            doc, message):
     inst_path = instance_file(BINARY_COST_TEXT)
@@ -317,6 +331,14 @@ def test_verify_rejects_malformed_document(instance_file, tmp_path, capsys,
     assert main(["verify", "--in", inst_path,
                  "--solution", str(sol_path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@MALFORMED_DOCUMENTS
+def test_library_verify_rejects_malformed_document(binary_cost, doc, message):
+    # the library call raises what the CLI prints, not a KeyError or TypeError
+    with pytest.raises(ParseError) as err:
+        verify_solution(binary_cost, doc)
+    assert str(err.value) == message
 
 
 def test_verify_non_utf8_solution(instance_file, tmp_path, capsys):

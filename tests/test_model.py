@@ -117,6 +117,18 @@ def test_instance_direct_construction_validates():
                  {"p1": 0}, {"p1": 0})  # one-sided edge
 
 
+@pytest.mark.parametrize("agent, program, message", [
+    (1, "p1", "bad identifier 1"),
+    ("a1", None, "bad identifier None"),
+    (b"a1", "p1", "bad identifier b'a1'"),
+], ids=["int-agent", "none-program", "bytes-agent"])
+def test_instance_rejects_names_that_are_not_str(agent, program, message):
+    with pytest.raises(ValidationError) as err:
+        Instance((agent,), (program,), {agent: (program,)}, {program: (agent,)},
+                 {program: 0}, {program: 1})
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("quota,cost", [(True, 0), (0, False), (1.0, 0)])
 def test_instance_rejects_bool_and_float_quota_or_cost(quota, cost):
     # bool subclasses int, so an isinstance(.., int) check alone lets it in

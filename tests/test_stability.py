@@ -66,6 +66,13 @@ def test_program_side_rejects_bad_quotas(contested_seat):
         envy_free_to_stable(contested_seat, {"p1": 1}, Matching({}))
 
 
+def test_blocking_pairs_rejects_bad_quotas(contested_seat):
+    with pytest.raises(ValidationError, match="negative quota for 'p2'"):
+        blocking_pairs(contested_seat, {"p1": 1, "p2": -1}, Matching({}))
+    with pytest.raises(ValidationError, match="no quota given for 'p2'"):
+        blocking_pairs(contested_seat, {"p1": 1}, Matching({}))
+
+
 def test_blocking_report_under_subscription(contested_seat):
     report = blocking_pairs(contested_seat, {"p1": 1, "p2": 0}, Matching({}))
     assert report.pairs == (("a1", "p1", UNDER_SUBSCRIPTION),
