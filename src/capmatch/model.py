@@ -16,15 +16,14 @@ Names are ASCII tokens matching ``[A-Za-z0-9_]+``.  A list after ``:`` may be
 empty only on a program line.  Declaration order of lines is the canonical
 order used for every deterministic tie-break in the solvers.
 
-Checks are made in two places.  ``parse_instance`` checks what one line
-shows and names the line: the ``:`` separator, the declaration shape, the
-identifier syntax of every token, ``q=``/``c=`` integers and their signs, a
-name declared twice, an empty agent list and a list that repeats an entry.
-A fast pass stores each whole-line match unchecked.  It gives up at any other
-line that is not blank or a comment (a fault, or a rare form such as
-``q=-0``), or when counts show a duplicate name or an empty agent list (a
-repeated entry fails mutuality); only then, or when its instance fails to
-validate, do the per-line checks re-read the text and name the first fault.
+Checks are made in two places.  ``parse_instance`` reads each declaration line
+with one whole-line match and stores it unchecked.  Where that read gives up
+(a line of another form, a count past ``int()``'s digit limit, a name declared
+twice, an empty agent list) or its instance fails to validate, a per-line
+checker raises the first fault with its line number, checking in order the
+``:``, the declaration shape, the name, a second declaration of it,
+``q=``/``c=`` and their signs, the listed names, an empty agent list and a
+repeated entry; if none, the instance's own error stands.
 ``Instance._validate`` runs on every instance, parsed or built directly, and
 reports without line numbers: it checks what needs the whole instance (every
 listed name is declared, the lists are mutual) and, for instances built
@@ -55,6 +54,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice, repeat
@@ -65,17 +65,19 @@ from .errors import InvalidMatching, ParseError, UnmatchableAgent, ValidationErr
 
 _IDENT = re.compile(r"[A-Za-z0-9_]+\Z")
 # Whole declaration lines.  \s is exactly the whitespace of str.split() and
-# strip(), so a match reads the tokens the per-line checks read, all valid;
-# a count past 18 digits goes the long way, where int()'s digit limit applies.
+# strip(), so a match reads the tokens the per-line checks read, each a
+# valid identifier or a count of _INT's form.
 _AGENT_LINE = re.compile(r"\s*agent\s+([A-Za-z0-9_]+)\s*:([\sA-Za-z0-9_]*)\Z")
-_PROGRAM_LINE = re.compile(r"\s*program\s+([A-Za-z0-9_]+)\s+q=([0-9]{1,18})"
-                           r"\s+c=([0-9]{1,18})\s*:([\sA-Za-z0-9_]*)\Z")
+_PROGRAM_LINE = re.compile(r"\s*program\s+([A-Za-z0-9_]+)\s+q=(-?[0-9]+)"
+                           r"\s+c=(-?[0-9]+)\s*:([\sA-Za-z0-9_]*)\Z")
 # Identifier characters only; with no empty name among them, the join of
 # some names matches exactly when each name matches _IDENT.
 _IDENT_CHARS = re.compile(r"[A-Za-z0-9_]*\Z")
 # A q=/c= value: ASCII digits with an optional minus sign, and nothing else
 # that int() would take (a plus sign, "_" separators, non-ASCII digits).
 _INT = re.compile(r"-?[0-9]+\Z")
+_SHAPES = {"agent": (2, "'agent <name> : ...'"),
+           "program": (4, "'program <name> q=<int> c=<int> : ...'")}
 
 # serialize_instance joins its lines this many at a time.
 _SERIALIZE_SLICE = 1024
@@ -103,7 +105,14 @@ class Instance:
         for side in ("agent_prefs", "program_prefs"):  # new dicts only for lists
             lists = getattr(self, side)
             if not {tuple}.issuperset(map(type, lists.values())):
-                object.__setattr__(self, side, {k: tuple(v) for k, v in lists.items()})
+                try:
+                    lists = {k: tuple(v) for k, v in lists.items()}
+                except TypeError:
+                    bad = next(k for k, v in lists.items()
+                               if not isinstance(v, Iterable))
+                    raise ValidationError(
+                        f"preference list of {bad!r} is not iterable") from None
+                object.__setattr__(self, side, lists)
         self._validate()
 
     def _validate(self) -> None:
@@ -143,21 +152,28 @@ class Instance:
         # in its program's rank dict make the edge sets equal, all declared.
         agent_lists = self.agent_prefs.values()
         edges = sum(map(len, self.program_prefs.values()))
-        rank = self.program_rank
-        mutual = (sum(map(len, agent_lists)) == edges
-                  and sum(map(len, map(set, agent_lists))) == edges
-                  and all(a in rank.get(p, ())
-                          for a, prefs in self.agent_prefs.items() for p in prefs))
+        try:
+            rank = self.program_rank
+            mutual = (sum(map(len, agent_lists)) == edges
+                      and sum(map(len, map(set, agent_lists))) == edges
+                      and all(a in rank.get(p, ())
+                              for a, prefs in self.agent_prefs.items() for p in prefs))
+        except TypeError:  # an unhashable entry, which no declared name is
+            mutual = False
         if not mutual:  # a repeat or an unknown name is worded before counts
             for kind, lists, other, known in (
                     ("agent", self.agent_prefs, "program", set(programs)),
                     ("program", self.program_prefs, "agent", set(agents))):
                 for name, prefs in lists.items():
-                    if len(set(prefs)) != len(prefs):
+                    try:
+                        repeated = len(set(prefs)) != len(prefs)
+                    except TypeError:  # worded as an unknown name below
+                        repeated = False
+                    if repeated:
                         raise ValidationError(
                             f"duplicate entry in preference list of {name!r}")
-                    for x in prefs:
-                        if x not in known:
+                    for x in prefs:  # an entry that is not a str is no declared name
+                        if not (isinstance(x, str) and x in known):
                             raise ValidationError(
                                 f"{kind} {name!r} lists unknown {other} {x!r}")
         if not all(map(_is_count, chain(self.quota.values(), self.cost.values()))):
@@ -246,15 +262,18 @@ class AugmentedSolution:
 def parse_instance(text: str) -> Instance:
     """Parse instance-file text; ParseError/ValidationError carry line numbers."""
     try:
-        inst = _read_instance(text, careful=False)
-    except ValidationError:
-        inst = None
-    return inst or _read_instance(text, careful=True)
+        read = _read_instance(text)
+    except ValidationError as error:
+        read = error
+    if isinstance(read, Instance):
+        return read
+    _check_lines(text)  # the reader gives up (None) only where a line has a fault
+    raise read
 
 
-def _read_instance(text: str, careful: bool) -> Instance | None:
-    """The instance the lines declare.  A careful read checks each line; a
-    fast one returns None where a line or the counts need a check."""
+def _read_instance(text: str) -> Instance | None:
+    """The declared instance, stored unchecked; None where a line or the
+    counts show a fault that only ``_check_lines`` words."""
     agent_prefs: dict[str, tuple[str, ...]] = {}
     program_prefs: dict[str, tuple[str, ...]] = {}
     quota: dict[str, int] = {}
@@ -271,67 +290,66 @@ def _read_instance(text: str, careful: bool) -> Instance | None:
         elif match := program_line(raw):
             lists = program_prefs
             name, q, c, tail = match.groups()
-            q, c = int(q), int(c)
-        else:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                skipped += 1
-                continue
-            if not careful:
+            try:
+                q, c = int(q), int(c)
+            except ValueError:  # more digits than int() converts
                 return None
-            head, sep, tail = line.partition(":")
-            if not sep:
-                raise ParseError(f"line {lineno}: expected ':' separator")
-            fields = head.split()
-            if not fields:
-                raise ParseError(f"line {lineno}: missing declaration before ':'")
-            if fields[0] == "agent":
-                if len(fields) != 2:
-                    raise ParseError(f"line {lineno}: expected 'agent <name> : ...'")
-                lists = agent_prefs
-            elif fields[0] == "program":
-                if len(fields) != 4:
-                    raise ParseError(f"line {lineno}: expected "
-                                     "'program <name> q=<int> c=<int> : ...'")
-                lists = program_prefs
-            else:
-                raise ParseError(f"line {lineno}: unknown declaration {fields[0]!r}")
-            name = fields[1]
-            _check_ident(name, lineno)
-            if name not in lists:  # a duplicate is worded below, before the rest
-                if lists is program_prefs:
-                    q = _parse_kv(fields[2], "q", lineno)
-                    c = _parse_kv(fields[3], "c", lineno)
-                    for value, what in ((q, "quota"), (c, "cost")):
-                        if value < 0:
-                            raise ValidationError(
-                                f"line {lineno}: negative {what} for {name!r}")
-                for token in tail.split():
-                    _check_ident(token, lineno)
+        elif raw.strip()[:1] in ("", "#"):  # a blank line or a comment
+            skipped += 1
+            continue
+        else:
+            return None
         items = tail.split()
-        if careful:
-            if name in lists:
-                kind = "agent" if lists is agent_prefs else "program"
-                raise ValidationError(f"line {lineno}: duplicate {kind} {name!r}")
-            if not items and lists is agent_prefs:
-                raise ValidationError(
-                    f"line {lineno}: agent {name!r} has an empty preference list")
         prefs = tuple(map(same, items, items))
-        if careful and len(set(prefs)) != len(prefs):
-            raise ValidationError(f"line {lineno}: duplicate entry in preference list")
         name = same(name, name)
         if lists is program_prefs:
             quota[name], cost[name] = q, c
         lists[name] = prefs
 
-    if not careful and (lineno - skipped != len(agent_prefs) + len(program_prefs)
-                        or not all(agent_prefs.values())):
+    if (lineno - skipped != len(agent_prefs) + len(program_prefs)
+            or not all(agent_prefs.values())):
         return None
-    # The name table is dead here, but would stay alive while _validate
-    # builds program_rank, and so would set the parse's peak.
-    del same
+    del same  # alive while _validate builds program_rank, it would set the peak
     return Instance(tuple(agent_prefs), tuple(program_prefs), agent_prefs,
                     program_prefs, quota, cost)
+
+
+def _check_lines(text: str) -> None:
+    """Raise the first fault one line shows, worded with its number, if any."""
+    seen: set[tuple[str, str]] = set()
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        if raw.strip()[:1] in ("", "#"):
+            continue
+        head, sep, tail = raw.partition(":")
+        if not sep:
+            raise ParseError(f"line {lineno}: expected ':' separator")
+        fields = head.split()
+        if not fields:
+            raise ParseError(f"line {lineno}: missing declaration before ':'")
+        kind = fields[0]
+        if kind not in _SHAPES:
+            raise ParseError(f"line {lineno}: unknown declaration {kind!r}")
+        if len(fields) != _SHAPES[kind][0]:
+            raise ParseError(f"line {lineno}: expected {_SHAPES[kind][1]}")
+        name = fields[1]
+        _check_ident(name, lineno)
+        if (kind, name) in seen:
+            raise ValidationError(f"line {lineno}: duplicate {kind} {name!r}")
+        seen.add((kind, name))
+        if kind == "program":
+            q = _parse_kv(fields[2], "q", lineno)
+            c = _parse_kv(fields[3], "c", lineno)
+            for value, what in ((q, "quota"), (c, "cost")):
+                if value < 0:
+                    raise ValidationError(f"line {lineno}: negative {what} for {name!r}")
+        items = tail.split()
+        for token in items:
+            _check_ident(token, lineno)
+        if not items and kind == "agent":
+            raise ValidationError(
+                f"line {lineno}: agent {name!r} has an empty preference list")
+        if len(set(items)) != len(items):
+            raise ValidationError(f"line {lineno}: duplicate entry in preference list")
 
 
 def _check_ident(token: str, lineno: int) -> None:
@@ -340,15 +358,13 @@ def _check_ident(token: str, lineno: int) -> None:
 
 
 def _parse_kv(token: str, key: str, lineno: int) -> int:
-    prefix = key + "="
-    if not token.startswith(prefix):
+    if not token.startswith(key + "="):
         raise ParseError(f"line {lineno}: expected '{key}=<int>', got {token!r}")
-    digits = token[len(prefix):]
-    if _INT.match(digits):
-        try:
-            return int(digits)
-        except ValueError:  # more digits than int() converts
-            pass
+    try:
+        if _INT.match(token, len(key) + 1):
+            return int(token[len(key) + 1:])
+    except ValueError:  # more digits than int() converts
+        pass
     raise ParseError(f"line {lineno}: {token!r} is not an integer")
 
 

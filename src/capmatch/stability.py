@@ -16,8 +16,8 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, count, repeat
-from operator import lt, ne
+from itertools import compress, count
+from operator import lt
 from typing import Callable
 
 from .errors import (InvalidMatching, InvariantBroken, NotEnvyFree, ParseError,
@@ -26,6 +26,7 @@ from .model import (
     AugmentedSolution,
     Instance,
     Matching,
+    _is_count,
     augmentation_spend,
     solution_cost,
     validate_matching,
@@ -84,8 +85,9 @@ def _check_quotas(inst: Instance, quotas: dict[str, int]) -> None:
     for p in inst.programs:
         if p not in quotas:
             raise ValidationError(f"no quota given for {p!r}")
-        if quotas[p] < 0:
-            raise ValidationError(f"negative quota for {p!r}")
+        if not _is_count(quotas[p]):
+            fault = "negative" if type(quotas[p]) is int else "non-integer"
+            raise ValidationError(f"{fault} quota for {p!r}")
 
 
 class AgentProposals:
@@ -167,10 +169,7 @@ def _scan_blocking(inst: Instance, matching: Matching,
     worst: dict[str, int] = {}  # program -> rank of its worst occupant, on demand
     pairs: list[tuple[str, str, str]] = []
     envy_pairs: list[tuple[str, str, str]] = []
-    # Agents at their first choice block with nothing, so compress skips them in C.
-    # First choices go in ``agents`` order: ``agent_prefs`` may be keyed otherwise.
-    firsts = map(next, map(iter, map(agent_prefs.__getitem__, agents)), repeat(None))
-    for a in compress(agents, map(ne, map(held, agents), firsts)):
+    for a in agents:
         cur = held(a)
         # prefs run best-first, so exactly the programs before cur can block
         for p in agent_prefs[a]:

@@ -129,6 +129,19 @@ def test_instance_rejects_names_that_are_not_str(agent, program, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("agent_prefs, program_prefs, message", [
+    ({"a1": ["p1", ["x"]]}, {"p1": ("a1",)}, "agent 'a1' lists unknown program ['x']"),
+    ({"a1": ("p1",)}, {"p1": ["a1", {}]}, "program 'p1' lists unknown agent {}"),
+    ({"a1": 5}, {"p1": ("a1",)}, "preference list of 'a1' is not iterable"),
+    ({"a1": ("p1",)}, {"p1": None}, "preference list of 'p1' is not iterable"),
+], ids=["unhashable-agent-entry", "unhashable-program-entry",
+        "int-agent-list", "none-program-list"])
+def test_instance_rejects_lists_it_cannot_read(agent_prefs, program_prefs, message):
+    with pytest.raises(ValidationError) as err:
+        Instance(("a1",), ("p1",), agent_prefs, program_prefs, {"p1": 0}, {"p1": 0})
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("quota,cost", [(True, 0), (0, False), (1.0, 0)])
 def test_instance_rejects_bool_and_float_quota_or_cost(quota, cost):
     # bool subclasses int, so an isinstance(.., int) check alone lets it in

@@ -1,9 +1,10 @@
-"""``parse_instance``'s two passes on the seeded 15k-agent ``market-large`` text.
+"""``parse_instance``'s reader and checker on the seeded 15k-agent
+``market-large`` text.
 
-The fast pass stores well-formed lines unchecked; the careful pass re-reads
-with the per-line checks only when the fast pass gives up or its instance
-fails to validate.  Well-formed text, however it is spaced, never takes the
-careful pass, and a fault late in a large file is still worded with the
+The reader stores well-formed lines unchecked; the per-line checker walks
+the text only when the reader gives up or its instance fails to validate.
+Valid text, however it is spaced and whatever form its counts take, never
+runs the checker, and a fault late in a large file is still worded with the
 line that the per-line checks name.  ``Instance._validate`` builds no name
 set on a valid instance, so its own peak stays far below the 0.65 MB that
 ``set(agents)`` and ``set(programs)`` take at this size.
@@ -32,15 +33,15 @@ def lines():
 
 @pytest.fixture
 def passes(monkeypatch):
-    """The ``careful`` flag of every read ``parse_instance`` makes."""
-    seen: list[bool] = []
-    read = model._read_instance
+    """One entry per run of the per-line checker ``parse_instance`` makes."""
+    seen: list[str] = []
+    check = model._check_lines
 
-    def counted(text, careful):
-        seen.append(careful)
-        return read(text, careful)
+    def counted(text):
+        seen.append("checked")
+        return check(text)
 
-    monkeypatch.setattr(model, "_read_instance", counted)
+    monkeypatch.setattr(model, "_check_lines", counted)
     return seen
 
 
@@ -52,7 +53,16 @@ def test_well_formed_text_takes_only_the_fast_pass(lines, passes):
         for i, line in enumerate(lines))
     assert parse_instance(respaced) == canonical
     assert len(canonical.agents) == 15_000
-    assert passes == [False, False]
+    assert passes == []
+
+
+def test_rare_count_forms_are_read_without_the_checker(lines, passes):
+    # "q=-0" and a 20-digit cost read as 0 and 1 in the one reader
+    rare = "\n".join(lines).replace(" q=0 ", " q=-0 ").replace(
+        " c=1 ", " c=00000000000000000001 ")
+    assert " q=-0 " in rare and " c=00000000000000000001 " in rare
+    assert parse_instance(rare) == parse_instance("\n".join(lines))
+    assert passes == []
 
 
 def _last_nonempty_program(lines):
@@ -94,7 +104,7 @@ def test_late_faults_keep_their_line_numbers(lines, passes):
         passes.clear()
         with pytest.raises(ValidationError) as caught:
             parse_instance("\n".join(damaged))
-        assert (str(caught.value), passes) == (message, [False, True]), name
+        assert (str(caught.value), passes) == (message, ["checked"]), name
 
 
 def test_validate_builds_no_name_sets(lines):

@@ -1,10 +1,9 @@
 """``parse_instance`` holds each name once.
 
 Every occurrence of a name in a parsed instance, as a declaration, a dict key
-or a list entry, is one ``str`` object, on the whole-line path and on the
-per-line path that rare forms such as ``q=-0`` take.  A parsed 15k-agent
-market then retains well under the 10.2 MB that one object per list entry
-took."""
+or a list entry, is one ``str`` object, in canonical text and in text with
+rare count forms such as ``q=-0``.  A parsed 15k-agent market then retains
+well under the 10.2 MB that one object per list entry took."""
 
 from __future__ import annotations
 
@@ -40,7 +39,7 @@ def test_one_object_per_name(market_text):
 
 
 def test_one_object_per_name_on_the_per_line_path(market_text):
-    # "q=-0" and a 20-digit cost fail the whole-line match but read the same
+    # "q=-0" and a 20-digit cost read the same as "q=0" and "c=1"
     lines = market_text.splitlines()
     for i, line in enumerate(lines):
         if line.startswith("program") and i % 3 == 0:

@@ -73,6 +73,27 @@ def test_blocking_pairs_rejects_bad_quotas(contested_seat):
         blocking_pairs(contested_seat, {"p1": 1}, Matching({}))
 
 
+NOT_INT = pytest.mark.parametrize("quota", [1.5, True, "1"])
+
+
+@NOT_INT
+def test_gs_rejects_quotas_that_are_not_int(contested_seat, quota):
+    with pytest.raises(ValidationError, match="^non-integer quota for 'p1'$"):
+        gale_shapley(contested_seat, {"p1": quota, "p2": 0})
+
+
+@NOT_INT
+def test_blocking_pairs_rejects_quotas_that_are_not_int(contested_seat, quota):
+    with pytest.raises(ValidationError, match="^non-integer quota for 'p1'$"):
+        blocking_pairs(contested_seat, {"p1": quota, "p2": 0}, Matching({}))
+
+
+@NOT_INT
+def test_program_side_rejects_quotas_that_are_not_int(contested_seat, quota):
+    with pytest.raises(ValidationError, match="^non-integer quota for 'p1'$"):
+        envy_free_to_stable(contested_seat, {"p1": quota, "p2": 0}, Matching({}))
+
+
 def test_blocking_report_under_subscription(contested_seat):
     report = blocking_pairs(contested_seat, {"p1": 1, "p2": 0}, Matching({}))
     assert report.pairs == (("a1", "p1", UNDER_SUBSCRIPTION),
