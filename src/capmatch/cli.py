@@ -7,10 +7,10 @@ instance generator) and ``reduce setcover`` / ``reduce vertexcover``
 bookkeeping JSON to stdout).
 
 Exit codes: 0 success, 1 precondition or verification failure (or a broken
-solver invariant), 2 unreadable or malformed input, 3 oracle search space or
-reduced instance past its size limit.  Diagnostics and --trace output go to
-stderr, the trace one JSON line per step as the solver takes it; results go
-to stdout or --out.
+solver invariant), 2 unreadable or malformed input, 3 oracle search space,
+reduced or random instance past its size limit, or memory run out.
+Diagnostics and --trace output go to stderr, the trace one JSON line per step
+as the solver takes it; results go to stdout or --out.
 """
 
 from __future__ import annotations
@@ -62,9 +62,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CapmatchError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, InstanceTooLarge):
+    except (CapmatchError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        if isinstance(exc, (InstanceTooLarge, MemoryError)):
             return 3
         return 2 if isinstance(exc, (ParseError, ValidationError, OSError)) else 1
 

@@ -29,9 +29,10 @@ from fractions import Fraction
 from .errors import InstanceTooLarge, InvalidParams, ParseError, UncoverableElement
 from .model import Instance
 
-# Most agents a reduction builds.  A `reduce` process peaks at ~1.35 KB per
-# agent (135 MB max RSS at 100k agents, Python 3.11), so this ceiling keeps a
-# run near 1.4 GB; the oracle's 10,000,000 would need ~13 GB.
+# Most agents a reduction builds, and most programs or edges a random
+# instance may have.  A `reduce` process peaks at ~1.35 KB per agent (135 MB
+# max RSS at 100k agents, Python 3.11), so this ceiling keeps a run near
+# 1.4 GB; the oracle's 10,000,000 would need ~13 GB.
 MAX_REDUCED_AGENTS = 1_000_000
 
 
@@ -56,13 +57,26 @@ def random_instance(n_agents: int, n_programs: int, max_list: int,
     Every agent draws a non-empty acceptable set; program lists are the
     mutual image.  With ``master_list`` both sides order their lists by one
     global permutation per side, otherwise each list gets its own shuffle.
+    Every parameter is checked before anything is built or drawn; more than
+    ``MAX_REDUCED_AGENTS`` programs or possible edges raise ``InstanceTooLarge``.
     """
+    _check_ints(n_agents=n_agents, n_programs=n_programs, max_list=max_list)
     if n_agents < 1 or n_programs < 1:
         raise InvalidParams("need at least one agent and one program")
     if max_list < 1:
         raise InvalidParams("max_list must be positive")
-    quotas = sorted(set(quota_range))
-    costs = sorted(set(cost_set))
+    edges = n_agents * min(max_list, n_programs)  # never fewer than the agents
+    if max(edges, n_programs) > MAX_REDUCED_AGENTS:
+        raise InstanceTooLarge(f"random instance would have {n_programs} programs "
+                               f"and up to {edges} edges, limit {MAX_REDUCED_AGENTS}")
+    try:
+        quotas, costs = tuple(quota_range), tuple(cost_set)
+    except TypeError:
+        raise InvalidParams("quota_range and cost_set must be collections") from None
+    for value in quotas + costs:
+        if type(value) is not int:
+            raise InvalidParams(f"quotas and costs must be integers, got {value!r}")
+    quotas, costs = sorted(set(quotas)), sorted(set(costs))
     if not quotas or not costs:
         raise InvalidParams("quota_range and cost_set must be non-empty")
     if quotas[0] < 0 or costs[0] < 0:

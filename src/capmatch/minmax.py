@@ -21,15 +21,17 @@ from .model import AugmentedSolution, Instance, Matching, require_all_matchable
 from .stability import AgentProposals, build_solution, gale_shapley  # noqa: F401
 
 
+def _seat_prices(inst: Instance):
+    """Each paid program, in declaration order, with the prices c, 2c, ... of
+    its extra seats, up to one seat for every agent on its list."""
+    for p in inst.programs:
+        if c := inst.cost[p]:
+            yield p, range(c, c * (len(inst.program_prefs[p]) - inst.quota[p]) + 1, c)
+
+
 def candidate_costs(inst: Instance) -> tuple[int, ...]:
     """Strictly increasing candidate budgets; always contains 0."""
-    vals = {0}
-    for p in inst.programs:
-        c = inst.cost[p]
-        if c > 0:
-            room = len(inst.program_prefs[p]) - inst.quota[p]
-            vals.update(range(c, c * room + 1, c))
-    return tuple(sorted(vals))
+    return tuple(sorted({0}.union(*(prices for _, prices in _seat_prices(inst)))))
 
 
 def budget_quotas(inst: Instance, t: int) -> dict[str, int]:
@@ -61,12 +63,10 @@ def solve_minmax(inst: Instance) -> AugmentedSolution:
     trimmed to the seats the final matching actually uses."""
     require_all_matchable(inst)
     values = candidate_costs(inst)
-    # drops[v]: programs whose k-th extra seat costs c*k = v
-    drops: dict[int, list[str]] = {v: [] for v in values}
-    for p in inst.programs:
-        if c := inst.cost[p]:
-            for v in range(c, c * (len(inst.program_prefs[p]) - inst.quota[p]) + 1, c):
-                drops[v].append(p)
+    drops: dict[int, list[str]] = {v: [] for v in values}  # by seat price
+    for p, prices in _seat_prices(inst):
+        for v in prices:
+            drops[v].append(p)
     state = AgentProposals(inst, budget_quotas(inst, values[-1]))
     for a in inst.agents:
         state.propose(a, 0)

@@ -6,7 +6,7 @@ Two routes:
   within a factor of the number of programs of the optimum.
 * :func:`lp_approx_run` starts from deferred acceptance, parks every
   leftover agent at its cheapest acceptable program, then runs one promotion
-  sweep per program (agents scanned from the bottom of the program's list)
+  sweep per program, one walk up the program's list from the bottom,
   moving anyone who envies a current occupant.  The sweep leaves no envy
   behind, so a final pass moves agents into seats still free under the
   original quotas, which never adds cost.  When no seats pre-exist (all
@@ -25,7 +25,7 @@ the ``class`` field of each ``promote`` event lets a caller check.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import count, filterfalse
+from itertools import count
 from typing import Callable
 
 from .minmax import solve_minmax
@@ -99,7 +99,7 @@ def lp_approx_run(inst: Instance, emit: Callable[[dict], None] | None = None
     and ``repair`` afterwards.
 
     The sweep reads "does a prefer p to its program?" off a's own list with
-    ``tuple.index``, for the reason :attr:`Instance.agent_rank` gives."""
+    ``tuple.index``, for the reason the :mod:`capmatch.model` docstring gives."""
     require_all_matchable(inst)
     initial = gale_shapley(inst, inst.quota)
     classification = classify_programs(inst, initial)
@@ -108,29 +108,24 @@ def lp_approx_run(inst: Instance, emit: Callable[[dict], None] | None = None
         solution = build_solution(inst, initial, "lp")
         return LpApproxRun(solution, initial, classification, solution.total_cost)
 
-    # one working assignment in declaration order: DA's seats, and every
-    # unmatched agent parked at the cheapest program classification found
-    matched = initial.assignment
-    assignment = dict.fromkeys(inst.agents)
-    assignment.update(matched)
-    assignment.update(zip(filterfalse(matched.__contains__, inst.agents),
-                          classification.parking))
+    # the paper's M_L in declaration order: DA's seats, and each unmatched
+    # agent parked at the program classification found (names are not empty)
+    seat = initial.assignment.get
+    parking = iter(classification.parking)
+    assignment = {a: seat(a) or next(parking) for a in inst.agents}
 
     agent_prefs = inst.agent_prefs
     labels = classification.labels
     steps = count(1)
     for p in inst.programs:
-        prefs = inst.program_prefs[p]
-        # p's worst current occupant is the last agent on its list seated there
-        worst = len(prefs) - 1
-        while worst >= 0 and assignment[prefs[worst]] != p:
-            worst -= 1
-        # Bottom-up over the agents p ranks above it: anyone who envies a
-        # current occupant moves in.  Arrivals always outrank the worst
-        # occupant, so ``worst`` stays valid for the rest of the sweep.
-        for k in range(worst - 1, -1, -1):
-            a = prefs[k]
+        # Bottom-up over p's list: once past p's worst occupant, anyone who
+        # envies an occupant moves in.
+        seated = False
+        for a in reversed(inst.program_prefs[p]):
             cur = assignment[a]
+            if not seated:
+                seated = cur == p
+                continue
             mine = agent_prefs[a]
             if mine.index(p) < mine.index(cur):
                 assignment[a] = p

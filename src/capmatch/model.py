@@ -37,6 +37,10 @@ rule), in a fixed order that ``tests/test_parse_diagnostics.py`` pins.
 ``sys.intern``, whose table outlives the instance): dict probes then match keys
 by identity, and a 15k-agent market keeps 18k name objects, not 123k.
 
+The solvers read "does a prefer p to q?" off a's own list with ``tuple.index``,
+not :attr:`Instance.agent_rank`: O(position) per test beats two dict probes on
+lists up to about 24 long, and is about twice as slow on lists hundreds long.
+
 Code copies a container only when it will mutate it.  An instance, matching
 or solution keeps the dicts it is handed (``Instance`` builds a new
 preference dict only to turn lists into tuples).  ``AgentProposals`` copies
@@ -192,12 +196,8 @@ class Instance:
 
     @cached_property
     def agent_rank(self) -> dict[str, dict[str, int]]:
-        """``agent_rank[a][p]`` is the 0-based position of p in a's list.
-        Nothing in ``src/`` reads it: the solvers read "does a prefer p to q?"
-        off a's own tuple with ``tuple.index``, O(position in a's list) per
-        test, faster than two dict probes on lists up to about 24 long and
-        about twice as slow on lists hundreds long.  Tests read it as their
-        reference and ``bench/spans.py`` wraps it."""
+        """``agent_rank[a][p]`` is the 0-based position of p in a's list; only
+        tests and ``bench/spans.py`` read it (see the module docstring)."""
         return {a: {p: i for i, p in enumerate(prefs)}
                 for a, prefs in self.agent_prefs.items()}
 

@@ -259,7 +259,7 @@ def _fill_free_seats(inst: Instance, quotas: dict[str, int],
     E edges and P programs, instead of O(moves * P).
 
     "Does a prefer p to its program?" is read off a's own list with
-    ``tuple.index``, for the reason :attr:`Instance.agent_rank` gives.
+    ``tuple.index``, for the reason the :mod:`capmatch.model` docstring gives.
     """
     agent_prefs, program_prefs, programs = (inst.agent_prefs, inst.program_prefs,
                                             inst.programs)

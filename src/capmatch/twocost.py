@@ -27,8 +27,8 @@ Bookkeeping is incremental: a step costs work proportional to what it
 changes.  Edge left-hand sides are cached, thresholds are cursors and free
 promotions come off a heap (``_Promoter``); the terminal check recomputes
 every edge from the dual alone in one pass over ``z``.  "Does a prefer p to
-q?" is read off a's own list with ``tuple.index``, for the reason
-``Instance.agent_rank`` gives.
+q?" is read off a's own list with ``tuple.index``, for the reason the
+:mod:`capmatch.model` docstring gives.
 
 With fewer than two distinct costs every A-perfect matching costs the same,
 so the solver just hands each agent its first choice.

@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from capmatch import ParseError, parse_instance, serialize_instance
+from capmatch import ParseError, cli, parse_instance, serialize_instance
 from capmatch.cli import ALGORITHMS, main
 from capmatch.generators import random_instance
 from capmatch.stability import verify_solution
@@ -388,6 +388,39 @@ def test_gen_random_to_file(tmp_path, capsys):
 
 def test_gen_random_bad_values(capsys):
     assert main(["gen", "random", "--quotas", "x,y"]) == 2
+
+
+def test_gen_random_past_the_size_limit_exits_three_before_building(
+        tmp_path, capsys):
+    # unguarded, this would build a trillion program names
+    out = tmp_path / "big.cap"
+    tracemalloc.start()
+    try:
+        code = main(["gen", "random", "--programs", "1000000000000",
+                     "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert peak < 4_000_000
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: random instance would have 1000000000000 "
+                            "programs and up to 32 edges, limit 1000000\n")
+    assert not out.exists()
+
+
+def test_running_out_of_memory_exits_three_with_one_line(
+        tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr(cli, "random_instance", exhausted)
+    out = tmp_path / "gen.cap"
+    assert main(["gen", "random", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory\n"
+    assert not out.exists()
 
 
 def test_reduce_setcover(instance_file, tmp_path, capsys):

@@ -83,6 +83,35 @@ def test_random_instance_rejects_bad_params():
         random_instance(3, 3, 2, (-1, 0), (1,))
 
 
+@pytest.mark.parametrize("args, message", [
+    ((2.5, 2, 2, (0,), (1,)), "n_agents must be an integer, got 2.5"),
+    ((2, True, 2, (0,), (1,)), "n_programs must be an integer, got True"),
+    ((2, 2, "2", (0,), (1,)), "max_list must be an integer, got '2'"),
+    ((2, 2, 2, ("x",), (1,)), "quotas and costs must be integers, got 'x'"),
+    ((2, 2, 2, (None,), (1,)), "quotas and costs must be integers, got None"),
+    ((2, 2, 2, (0, 1.0), (1,)), "quotas and costs must be integers, got 1.0"),
+    ((2, 2, 2, (0,), (False,)), "quotas and costs must be integers, got False"),
+    ((2, 2, 2, (0,), ([1],)), "quotas and costs must be integers, got [1]"),
+    ((2, 2, 2, 0, (1,)), "quota_range and cost_set must be collections"),
+])
+def test_random_instance_refuses_non_integer_params(args, message):
+    with pytest.raises(InvalidParams, match=f"^{re.escape(message)}$"):
+        random_instance(*args)
+
+
+def test_random_instance_stops_past_the_size_limit(monkeypatch):
+    monkeypatch.setattr(generators, "MAX_REDUCED_AGENTS", 12)
+    # 4 agents with lists up to 3 long make at most 12 edges
+    assert len(random_instance(4, 5, 3, (0,), (1,)).agents) == 4
+    assert len(random_instance(12, 12, 1, (0,), (1,)).agents) == 12
+    for args, programs, edges in (((4, 5, 4), 5, 16), ((13, 2, 1), 2, 13),
+                                  ((1, 13, 1), 13, 1), ((2, 7, 9), 7, 14)):
+        with pytest.raises(InstanceTooLarge, match=(
+                f"^random instance would have {programs} programs and up to "
+                f"{edges} edges, limit 12$")):
+            random_instance(*args, (0,), (1,))
+
+
 def test_random_instance_takes_master_list_and_seed_by_keyword():
     # positionally, the seed would land in master_list and build seed 0
     with pytest.raises(TypeError):

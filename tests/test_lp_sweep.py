@@ -118,6 +118,16 @@ def test_sweep_matches_roster_sweep_on_long_lists(seed):
     assert {s["phase"] for s in steps} == {PROMOTE, REPAIR}
 
 
+def test_sweep_matches_roster_sweep_at_scale():
+    """The same fields and events as the reference on ``market-large``'s
+    15k-agent market: ~12k parked agents, ~6.5k promotions, 260 repairs."""
+    inst = random_instance(15_000, 3_000, 6, (0, 1, 2), (0, 1, 2, 5), seed=77)
+    steps, expected = [], []
+    assert (_fields(lp_approx_run(inst, steps.append), steps)
+            == _fields(roster_sweep_lp_run(inst, expected.append), expected))
+    assert {s["phase"] for s in steps} == {PROMOTE, REPAIR}
+
+
 def test_no_envy_after_sweep_at_scale():
     """The matching the sweep leaves, rebuilt from the run's own record
     (deferred acceptance, the parking programs and the promote steps), holds
