@@ -25,7 +25,6 @@ from .model import (
     Instance,
     InstanceMetrics,
     Matching,
-    least_cost_program,
     metrics,
     parse_instance,
     serialize_instance,
@@ -51,7 +50,6 @@ __all__ = [
     "UncoverableElement",
     "UnmatchableAgent",
     "ValidationError",
-    "least_cost_program",
     "metrics",
     "parse_instance",
     "serialize_instance",

@@ -69,8 +69,16 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if isinstance(exc, (ParseError, ValidationError, OSError)) else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is one ``error:`` line on stderr and exit 2, like every
+    other bad input; subparsers are built from this class too."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="capmatch")
+    parser = _Parser(prog="capmatch")
     sub = parser.add_subparsers(required=True)
 
     solve = sub.add_parser("solve", help="solve an instance file")

@@ -25,7 +25,8 @@ the ``class`` field of each ``promote`` event lets a caller check.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import count
+from functools import partial
+from itertools import count, filterfalse
 from typing import Callable
 
 from .minmax import solve_minmax
@@ -33,7 +34,6 @@ from .model import (
     AugmentedSolution,
     Instance,
     Matching,
-    least_cost_program,
     require_all_matchable,
     solution_cost,
 )
@@ -75,12 +75,18 @@ class LpApproxRun:
 
 
 def classify_programs(inst: Instance, initial: Matching) -> ProgramClassification:
-    """Label programs by (held seats in ``initial``?, cheapest fallback?)."""
+    """Label programs by (held seats in ``initial``?, cheapest fallback?).
+
+    An agent's cheapest program is the first of least cost on its list
+    (``min`` keeps the first of equal keys), so ties go to the most preferred
+    one.  An agent with an empty list raises UnmatchableAgent."""
+    require_all_matchable(inst)
     held = set(initial.assignment.values())
     empty = frozenset(p for p in inst.programs if p not in held)
     matched = initial.assignment
-    parking = tuple(least_cost_program(inst, a) for a in inst.agents
-                    if a not in matched)
+    parking = tuple(map(partial(min, key=inst.cost.__getitem__),
+                        map(inst.agent_prefs.__getitem__,
+                            filterfalse(matched.__contains__, inst.agents))))
     fallback = frozenset(parking)
     table = {(False, False): OCCUPIED, (False, True): OCCUPIED_FALLBACK,
              (True, False): EMPTY, (True, True): EMPTY_FALLBACK}

@@ -32,6 +32,10 @@ and costs).  Each check is one whole-collection operation, and only a failing
 one walks the names to word its error.  The first failing check raises
 ``ParseError`` (malformed syntax) or ``ValidationError`` (a broken model
 rule), in a fixed order that ``tests/test_parse_diagnostics.py`` pins.
+Mutuality and every "is (a, p) an edge?" check read the preference lists
+themselves.  :attr:`Instance.program_rank`, which only the code that weighs
+agents at a program indexes, fills one program at a time on first lookup,
+so parsing, validating and verifying build almost none of it.
 
 ``parse_instance`` hands out one ``str`` per name from a parse-local dict (not
 ``sys.intern``, whose table outlives the instance): dict probes then match keys
@@ -151,17 +155,17 @@ class Instance:
                                   (self.quota, "quota"), (self.cost, "cost")):
                 if mapping.keys() != program_set:
                     raise ValidationError(f"{what} keys do not match declared programs")
-        # Mutuality, off the program rank table that deferred acceptance builds
-        # anyway: equal entry counts, no repeat in an agent list and each entry
-        # in its program's rank dict make the edge sets equal, all declared.
-        agent_lists = self.agent_prefs.values()
-        edges = sum(map(len, self.program_prefs.values()))
+        # Mutuality, off the lists themselves: equal entry counts, no repeat
+        # in a program list and each program-list entry's own list naming
+        # that program make the edge sets equal, all declared.
+        program_lists = self.program_prefs.values()
+        edges = sum(map(len, program_lists))
+        listed = self.agent_prefs.get
         try:
-            rank = self.program_rank
-            mutual = (sum(map(len, agent_lists)) == edges
-                      and sum(map(len, map(set, agent_lists))) == edges
-                      and all(a in rank.get(p, ())
-                              for a, prefs in self.agent_prefs.items() for p in prefs))
+            mutual = (sum(map(len, self.agent_prefs.values())) == edges
+                      and sum(map(len, map(set, program_lists))) == edges
+                      and all(p in listed(a, ())
+                              for p, prefs in self.program_prefs.items() for a in prefs))
         except TypeError:  # an unhashable entry, which no declared name is
             mutual = False
         if not mutual:  # a repeat or an unknown name is worded before counts
@@ -180,7 +184,10 @@ class Instance:
                         if not (isinstance(x, str) and x in known):
                             raise ValidationError(
                                 f"{kind} {name!r} lists unknown {other} {x!r}")
-        if not all(map(_is_count, chain(self.quota.values(), self.cost.values()))):
+        quotas, costs = self.quota.values(), self.cost.values()
+        if not (all(map(isinstance, chain(quotas, costs), repeat(int)))
+                and not any(map(isinstance, chain(quotas, costs), repeat(bool)))
+                and min(chain(quotas, costs), default=0) >= 0):
             for p in programs:
                 for what, table in (("quota", self.quota), ("cost", self.cost)):
                     if not _is_count(table[p]):
@@ -203,20 +210,36 @@ class Instance:
 
     @cached_property
     def program_rank(self) -> dict[str, dict[str, int]]:
-        """``program_rank[p][a]`` is the 0-based position of a in p's list."""
-        return {p: {a: i for i, a in enumerate(prefs)}
-                for p, prefs in self.program_prefs.items()}
+        """``program_rank[p][a]`` is the 0-based position of a in p's list.
+
+        The table fills on lookup, one program at a time: index it, never
+        iterate it or call ``.get`` on it, which see only the programs
+        looked up so far.  An undeclared program raises KeyError."""
+        return _RankTable(self.program_prefs)
 
     def is_edge(self, agent: str, program: str) -> bool:
-        """Whether ``(agent, program)`` is an edge; mutuality lets the program
-        side's rank table answer, so no agent-side table is built."""
-        return agent in self.program_rank.get(program, ())
+        """Whether ``(agent, program)`` is an edge, read off the agent's own
+        list; no rank table is built."""
+        return program in self.agent_prefs.get(agent, ())
 
     def all_edges(self, pairs: dict[str, str]) -> bool:
         """Whether every ``agent -> program`` item of ``pairs`` is an edge, in
-        one C-level pass over ``program_rank``."""
-        return all(map(contains, map(self.program_rank.get, pairs.values(),
-                                     repeat(())), pairs))
+        one C-level pass over the agents' lists."""
+        return all(map(contains, map(self.agent_prefs.get, pairs, repeat(())),
+                       pairs.values()))
+
+
+class _RankTable(dict):
+    """Program -> {agent: position on the program's list}, each entry built
+    on its first lookup."""
+
+    def __init__(self, prefs: dict[str, tuple[str, ...]]) -> None:
+        super().__init__()
+        self.prefs = prefs
+
+    def __missing__(self, p: str) -> dict[str, int]:
+        rank = self[p] = {a: i for i, a in enumerate(self.prefs[p])}
+        return rank
 
 
 def _is_count(value: object) -> bool:
@@ -309,7 +332,6 @@ def _read_instance(text: str) -> Instance | None:
     if (lineno - skipped != len(agent_prefs) + len(program_prefs)
             or not all(agent_prefs.values())):
         return None
-    del same  # alive while _validate builds program_rank, it would set the peak
     return Instance(tuple(agent_prefs), tuple(program_prefs), agent_prefs,
                     program_prefs, quota, cost)
 
@@ -395,19 +417,6 @@ def metrics(inst: Instance) -> InstanceMetrics:
     max_a = max((len(v) for v in inst.agent_prefs.values()), default=0)
     max_p = max((len(v) for v in inst.program_prefs.values()), default=0)
     return InstanceMetrics(edges, max_a, max_p)
-
-
-def least_cost_program(inst: Instance, agent: str) -> str:
-    """Cheapest acceptable program; ties go to the most preferred one.
-
-    ``min`` keeps the first of equal keys and the list runs best-first, so
-    among the programs of least cost the agent's favourite wins."""
-    prefs = inst.agent_prefs.get(agent)
-    if prefs is None:
-        raise ValidationError(f"unknown agent {agent!r}")
-    if not prefs:
-        raise UnmatchableAgent(f"agent {agent!r} has an empty preference list")
-    return min(prefs, key=inst.cost.__getitem__)
 
 
 def require_all_matchable(inst: Instance) -> None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, count
+from itertools import compress, count, repeat
 from operator import lt
 from typing import Callable
 
@@ -348,7 +348,7 @@ def verify_solution(inst: Instance, doc: dict) -> dict:
         if key not in doc:
             raise ParseError(f"solution document lacks {key!r}")
     if not isinstance(doc["matching"], dict) or \
-            not all(isinstance(v, str) for v in doc["matching"].values()):
+            not all(map(isinstance, doc["matching"].values(), repeat(str))):
         raise ParseError("matching must map agents to programs")
     aug = doc["augmentation"]
     if not isinstance(aug, dict) or not all(

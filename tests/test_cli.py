@@ -218,11 +218,31 @@ def test_solve_missing_file(tmp_path, capsys):
                  "--in", str(tmp_path / "nope.txt")]) == 2
 
 
+def _usage_error(capsys, argv) -> str:
+    """The stderr of a usage error, which exits 2 with one ``error:`` line
+    and no usage block."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    return err
+
+
 def test_unknown_algorithm_is_a_usage_error(instance_file, capsys):
     path = instance_file(CONTESTED_SEAT_TEXT)
-    with pytest.raises(SystemExit) as exc:
-        main(["solve", "--alg", "simplex", "--in", path])
-    assert exc.value.code == 2
+    err = _usage_error(capsys, ["solve", "--alg", "simplex", "--in", path])
+    assert "invalid choice: 'simplex'" in err
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["gen", "random", "--agents", "x"],
+     "error: argument --agents: invalid int value: 'x'"),
+    (["verify", "--in", "market.cap"],
+     "error: the following arguments are required: --solution"),
+], ids=["bad-flag-value", "missing-option"])
+def test_usage_error_is_one_error_line(capsys, argv, line):
+    assert _usage_error(capsys, argv) == line + "\n"
 
 
 def _verify(instance_file, tmp_path, capsys, instance_text, doc):

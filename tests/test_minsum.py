@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import random
 
-from capmatch import Matching, metrics, parse_instance
+import pytest
+
+from capmatch import Instance, Matching, UnmatchableAgent, metrics, parse_instance
 from capmatch.generators import random_instance
 from capmatch.minsum import (
     EMPTY,
@@ -43,6 +45,24 @@ def test_classification_occupied_non_fallback():
     )
     cls = classify_programs(inst, Matching({"a1": "p1"}))
     assert cls.labels == {"p1": OCCUPIED}
+
+
+def test_classification_parks_at_the_cheapest_most_preferred(binary_cost, cascade):
+    cls = classify_programs(binary_cost, Matching({}))
+    # all of a3's programs cost 1; ties go to its most preferred
+    assert cls.parking == ("p0", "p0", "p1")
+    assert classify_programs(cascade, Matching({})).parking == (
+        "p0", "p0", "p0", "p0", "p2")
+    # matched agents are not parked
+    assert classify_programs(binary_cost, Matching({"a1": "p1"})).parking == (
+        "p0", "p1")
+
+
+def test_classification_empty_list_is_unmatchable():
+    inst = Instance(("a1",), ("p1",), {"a1": ()}, {"p1": ()},
+                    {"p1": 0}, {"p1": 0})
+    with pytest.raises(UnmatchableAgent, match="'a1' has an empty preference list"):
+        classify_programs(inst, Matching({}))
 
 
 def test_lp_run_cascade(cascade):

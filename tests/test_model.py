@@ -10,9 +10,7 @@ from capmatch import (
     InvalidMatching,
     Matching,
     ParseError,
-    UnmatchableAgent,
     ValidationError,
-    least_cost_program,
     metrics,
     parse_instance,
     serialize_instance,
@@ -184,20 +182,6 @@ def test_instance_allows_programmatic_empty_agent_list():
     inst = Instance(("a1",), ("p1",), {"a1": ()}, {"p1": ()},
                     {"p1": 1}, {"p1": 0})
     assert metrics(inst) == (0, 0, 0)
-
-
-def test_least_cost_program(binary_cost, cascade):
-    assert least_cost_program(binary_cost, "a1") == "p0"
-    # all of a3's programs cost 1; ties go to its most preferred
-    assert least_cost_program(binary_cost, "a3") == "p1"
-    assert least_cost_program(cascade, "a5") == "p2"
-
-
-def test_least_cost_program_empty_list():
-    inst = Instance(("a1",), ("p1",), {"a1": ()}, {"p1": ()},
-                    {"p1": 0}, {"p1": 0})
-    with pytest.raises(UnmatchableAgent):
-        least_cost_program(inst, "a1")
 
 
 def test_matching_views(binary_cost):

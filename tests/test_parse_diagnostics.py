@@ -386,6 +386,23 @@ def test_fast_validation_agrees_with_the_reference_loops(inst, mutations, data):
         lambda: validation_reference(candidate))
 
 
+@pytest.mark.parametrize("agent_prefs, program_prefs, message", [
+    # a repeat on the agent side, balanced by an agent with an empty list
+    ({"a": ("p", "p"), "b": ()}, {"p": ("a", "b")},
+     "duplicate entry in preference list of 'a'"),
+    # a repeat on the program side, with equal entry counts
+    ({"a": ("p",), "b": ("p",)}, {"p": ("a", "a")},
+     "duplicate entry in preference list of 'p'"),
+], ids=["agent-repeat-balanced", "program-repeat-balanced"])
+def test_repeats_the_counts_miss_agree_with_the_reference(agent_prefs,
+                                                          program_prefs, message):
+    candidate = _unchecked(("a", "b"), ("p",), agent_prefs, program_prefs,
+                           {"p": 0}, {"p": 0})
+    assert _verdict(candidate._validate) == ("ValidationError", message)
+    assert _verdict(lambda: validation_reference(candidate)) == (
+        "ValidationError", message)
+
+
 def _verdict(check) -> tuple[str, str]:
     """(exception class, message) of what ``check`` raises, or ("ok", "")."""
     try:

@@ -1,6 +1,8 @@
-"""Edge checks read off ``program_rank``: ``verify``'s report, pinned for two
-faulty solutions so that the per-pair fall-back loops keep their violation
-order, and the checks and solvers that never build ``agent_rank``."""
+"""Edge checks read off the agents' own lists: ``verify``'s report, pinned
+for two faulty solutions so that the per-pair fall-back loops keep their
+violation order; the checks and solvers that never build ``agent_rank``;
+and ``program_rank``, which fills one program at a time on lookup, so that
+parsing, generating and verifying a market build almost none of it."""
 
 from __future__ import annotations
 
@@ -13,12 +15,13 @@ from capmatch.cli import main
 from capmatch.generators import random_instance
 from capmatch.minmax import solve_minmax
 from capmatch.minsum import PROMOTE, REPAIR, lp_approx_run
-from capmatch.model import serialize_instance, validate_matching
+from capmatch.model import serialize_instance, solution_to_json, validate_matching
 from capmatch.oracle import brute_force_minmax, brute_force_minsum
 from capmatch.stability import (
     envy_free_to_stable,
     gale_shapley,
     is_stable_augmented,
+    verify_solution,
 )
 from capmatch.twocost import solve_two_cost
 
@@ -168,3 +171,30 @@ def test_solvers_never_build_agent_rank():
         random_instance(8, 4, 3, (0, 1), (1, 2), seed=3)))
     assert brute_force_minsum(small).stable and brute_force_minmax(small).stable
     assert "agent_rank" not in vars(small)
+
+
+def test_program_rank_fills_on_lookup():
+    inst = parse_instance(serialize_instance(
+        random_instance(400, 80, 6, (0, 1, 2), (0, 1, 2, 5), seed=77)))
+    assert "program_rank" not in vars(inst)
+    rank = inst.program_rank
+    assert len(rank) == 0
+    for p in inst.programs:
+        assert rank[p] == {a: i for i, a in enumerate(inst.program_prefs[p])}
+        assert rank[p] is rank[p]
+    assert len(rank) == len(inst.programs)
+    with pytest.raises(KeyError):
+        rank["zz"]
+    assert "zz" not in rank
+
+
+def test_generating_and_verifying_build_few_ranks():
+    generated = random_instance(15_000, 3_000, 6, (0, 1, 2), (0, 1, 2, 5), seed=77)
+    assert "program_rank" not in vars(generated)
+    doc = json.loads(json.dumps(solution_to_json(generated, solve_minmax(generated))))
+    inst = parse_instance(serialize_instance(generated))
+    validate_matching(inst, Matching(doc["matching"]))
+    assert "program_rank" not in vars(inst)
+    assert verify_solution(inst, doc)["valid"]
+    # the stability scan looks up one program on this seed
+    assert len(inst.program_rank) <= 3
